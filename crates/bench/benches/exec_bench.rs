@@ -5,9 +5,8 @@ use loom_codegen::generate;
 use loom_exec::memory::address_hash_init;
 use loom_exec::{execute_in_order, schedule_order, sequential};
 use loom_hyperplane::{Schedule, TimeFn};
-use loom_loopir::Point;
 use loom_obs::bench::Bench;
-use loom_partition::{partition, PartitionConfig};
+use loom_partition::{partition, ComputationalStructure, PartitionConfig};
 
 fn main() {
     let mut bench = Bench::from_env();
@@ -19,12 +18,11 @@ fn main() {
     }
 
     let w = loom_workloads::sor::workload(24, 24);
-    let deps = w.verified_deps();
-    let points: Vec<Point> = w.nest.space().points().collect();
+    let cs = ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap();
     let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-    let order = schedule_order(&points, &sched);
+    let order = schedule_order(cs.points(), &sched);
     bench.run("ordered_execution/sor24_front_order", || {
-        execute_in_order(&w.nest, &points, &order, &deps, &address_hash_init)
+        execute_in_order(&w.nest, &cs, &order, &address_hash_init)
             .unwrap()
             .len()
     });

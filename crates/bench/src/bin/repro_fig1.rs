@@ -21,9 +21,7 @@ fn main() {
     println!();
 
     let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-    sched
-        .validate(w.nest.space(), &deps)
-        .expect("Π = (1,1) is legal for L1");
+    sched.validate(&deps).expect("Π = (1,1) is legal for L1");
     let mut t = Table::new([
         "step",
         "width",

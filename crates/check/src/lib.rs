@@ -54,7 +54,7 @@
 //! the artifacts it inspects), through [`check_pipeline`] on a bundle
 //! of everything the pipeline produced, via `loom check` on the CLI,
 //! or as a gated `loom-core` pipeline stage
-//! (`MachineOptions::static_check` / `symbolic_check`).
+//! (`MachineOptions::check`, which takes a [`CheckMode`]).
 
 #![deny(missing_docs)]
 

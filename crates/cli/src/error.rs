@@ -7,7 +7,7 @@
 //!
 //! | exit | variant | meaning |
 //! |---|---|---|
-//! | 0 | — | success |
+//! | 0 | — | success, or stdout closed by its reader (`loom … \| head`) |
 //! | 1 | [`CliError::Failed`], [`CliError::Diagnostics`] | the artifact is wrong: diagnostics remain or a pipeline stage failed |
 //! | 2 | [`CliError::Usage`] | bad flags, unreadable files, malformed numeric arguments |
 

@@ -30,6 +30,24 @@
 //! `LP0NN` diagnostic report — all problems in one pass — rather than
 //! one terse abort.
 
+// `print!`/`println!` that stop the process quietly when stdout is
+// closed (`loom simulate … | head -1`) instead of panicking; they shadow
+// the std macros for the whole binary.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
 mod args;
 mod error;
 
@@ -471,16 +489,26 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
 fn cmd_map(a: &Args) -> Result<(), CliError> {
     let w = pick_workload(a)?;
     let out = run_pipeline(a, &w, false)?;
+    // Hypercube processors print as binary node labels, mesh/ring
+    // processors as their index.
+    let label = |proc: usize| match out.placement.as_hypercube() {
+        Some(m) => format!("P{proc:0w$b}", w = m.cube().dim().max(1)),
+        None => format!("P{proc}"),
+    };
     let mut t = Table::new(["block", "size", "processor"]);
-    for (b, &proc) in out.mapping.assignment().iter().enumerate() {
+    for (b, &proc) in out.placement.assignment().iter().enumerate() {
         t.row([
             format!("B{b}"),
             format!("{}", out.partitioning.block(b).len()),
-            format!("P{proc:0w$b}", w = out.mapping.cube().dim().max(1)),
+            label(proc),
         ]);
     }
     println!("{t}");
-    let q = loom_mapping::metrics::evaluate(&out.tig, out.mapping.assignment(), out.mapping.cube());
+    let q = loom_mapping::metrics::evaluate_on(
+        &out.tig,
+        out.placement.assignment(),
+        &out.target.topology(),
+    );
     println!("quality: {q}");
     Ok(())
 }
@@ -577,8 +605,8 @@ fn cmd_codegen(a: &Args) -> Result<(), CliError> {
     let cg = loom_codegen::generate(
         &w.nest,
         &out.partitioning,
-        out.mapping.assignment(),
-        out.mapping.cube().len(),
+        out.placement.assignment(),
+        out.placement.num_procs(),
     )
     .map_err(|e| CliError::failed(format!("codegen refused: {e}")))?;
     println!("{}", loom_codegen::render::render(&w.nest, &cg));
@@ -814,7 +842,7 @@ fn cmd_viz(a: &Args) -> Result<(), CliError> {
         println!("{}", loom_viz::group_graph_dot(&out.partitioning));
         println!(
             "{}",
-            loom_viz::tig_dot(&out.tig, Some(out.mapping.assignment()))
+            loom_viz::tig_dot(&out.tig, Some(out.placement.assignment()))
         );
         return Ok(());
     }
@@ -988,10 +1016,13 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
     let stage = pipeline
         .stage_partition(&cfg, &rec)
         .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
-    let (_mapping, placement, target) = stage
+    let (placement, target) = stage
         .map_with(&cfg, &rec)
         .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
-    let program = stage.program(&placement);
+    let program = {
+        let _s = rec.span("pipeline.program");
+        stage.program(&placement)
+    };
     let sim_cfg = loom_machine::SimConfig {
         params: machine_params(a)?,
         topology: target.topology(),
@@ -1111,6 +1142,19 @@ fn cmd_table1(a: &Args) -> Result<(), CliError> {
     }
     println!("{t}");
     Ok(())
+}
+
+/// Write to stdout. A reader that closed the pipe wants no more output,
+/// so the run ends there with exit 0; any other write failure is exit 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {

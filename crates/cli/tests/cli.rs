@@ -319,3 +319,91 @@ fn explore_ranks() {
     assert!(out.contains("rank"));
     assert!(out.contains("makespan"));
 }
+
+#[test]
+fn ring_target_needs_only_its_own_processor_count() {
+    // A 2-block nest on a 2-processor ring: the hypercube `--cube`
+    // size is not the target, so it must not be mapped.
+    let (out, err, ok) = loom(&[
+        "simulate",
+        "--workload",
+        "l1",
+        "--size",
+        "2",
+        "--ring",
+        "2",
+        "--cube",
+        "2",
+    ]);
+    assert!(ok, "{err}");
+    assert!(out.contains("Ring(2) (2 procs)"), "{out}");
+}
+
+#[test]
+fn map_prints_the_target_placement() {
+    let (out, err, ok) = loom(&["map", "--workload", "l1", "--size", "4", "--ring", "4"]);
+    assert!(ok, "{err}");
+    for proc in ["P0", "P1", "P2", "P3"] {
+        assert!(out.contains(proc), "missing {proc}:\n{out}");
+    }
+    assert!(out.contains("quality: "), "{out}");
+    // The default hypercube table keeps its binary processor labels.
+    let (out, _, ok) = loom(&["map", "--workload", "l1", "--size", "4", "--cube", "1"]);
+    assert!(ok);
+    assert!(
+        out.contains("P0") && out.contains("P1") && !out.contains("P2"),
+        "{out}"
+    );
+}
+
+#[test]
+fn codegen_emits_one_program_per_target_processor() {
+    let (out, err, ok) = loom(&[
+        "codegen",
+        "--workload",
+        "l1",
+        "--size",
+        "4",
+        "--mesh",
+        "2x2",
+    ]);
+    assert!(ok, "{err}");
+    for p in 0..4 {
+        assert!(
+            out.contains(&format!("processor {p}:")),
+            "missing {p}:\n{out}"
+        );
+    }
+    assert!(!out.contains("processor 4:"), "{out}");
+}
+
+#[test]
+fn closed_stdout_stops_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // The program listing is far larger than a pipe buffer, so the
+    // writer is still writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_loom"))
+        .args([
+            "codegen",
+            "--workload",
+            "matvec",
+            "--size",
+            "96",
+            "--cube",
+            "2",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert_eq!(line, "processor 0:\n");
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(matches!(out.status.code(), Some(0..=2)), "{:?}", out.status);
+}

@@ -175,23 +175,16 @@ pub fn generate(
             let here = proc as u32;
             // Receives for remote predecessors, deterministic order.
             let mut recvs: Vec<Op> = Vec::new();
-            for (k, d) in dep_vectors.iter().enumerate() {
-                let pred: Point = cs.points()[id]
-                    .iter()
-                    .zip(d)
-                    .map(|(&a, &b)| a - b)
-                    .collect();
-                if let Some(pid) = cs.id_of(&pred) {
-                    let from = proc_of_point(pid);
-                    if from != here {
-                        recvs.push(Op::Recv {
-                            from,
-                            tag: Tag {
-                                src_point: pid as u32,
-                                dep: k as u16,
-                            },
-                        });
-                    }
+            for (pid, k) in cs.predecessors(id) {
+                let from = proc_of_point(pid);
+                if from != here {
+                    recvs.push(Op::Recv {
+                        from,
+                        tag: Tag {
+                            src_point: pid as u32,
+                            dep: k as u16,
+                        },
+                    });
                 }
             }
             recvs.sort_by_key(|op| match op {

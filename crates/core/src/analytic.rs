@@ -414,7 +414,7 @@ mod tests {
             };
             let pipeline = Pipeline::new(w.nest.clone());
             let stage = pipeline.stage_partition(&cfg, &rec).unwrap();
-            let (_mapping, placement, target) = stage.map_with(&cfg, &rec).unwrap();
+            let (placement, target) = stage.map_with(&cfg, &rec).unwrap();
             let program = stage.program(&placement);
             for params in [MachineParams::classic_1991(), MachineParams::low_latency()] {
                 for batch in [false, true] {

@@ -69,8 +69,8 @@ pub struct Candidate {
 /// exactly as the simulating explorer skips partition/mapping failures.
 ///
 /// Pruning does not apply (formula evaluation is already O(1)), and
-/// `machine.static_check` is honoured only on the fallback path — an
-/// exact candidate never materialises its target-size partitioning.
+/// `machine.check` is honoured only on the fallback path — an exact
+/// candidate never materialises its target-size partitioning.
 #[derive(Clone)]
 pub struct SymbolicExplore {
     /// The size family the explored nest belongs to.
@@ -320,7 +320,9 @@ pub fn explore_with(
         |scratch, _idx, &(pi_idx, grouping)| {
             // Per-candidate pipeline stages run un-instrumented: the
             // sweep-level counters above are the meaningful signal, and
-            // thousands of interleaved stage spans are not.
+            // thousands of interleaved stage spans are not. A requested
+            // static check is the exception: its verdict counters land
+            // on the sweep recorder.
             let rec = Recorder::disabled();
             let pi = &pis[pi_idx];
             let base = PipelineConfig {
@@ -345,14 +347,14 @@ pub fn explore_with(
                     cube_dim,
                     ..base.clone()
                 };
-                let (mapping, placement, target) = match stage.map_with(&cfg, &rec) {
+                let (placement, target) = match stage.map_with(&cfg, &rec) {
                     Ok(x) => x,
                     // Cube too large for the block count: skip.
                     Err(PipelineError::Mapping(_)) => continue,
                     Err(e) => return Err(e),
                 };
-                if config.machine.static_check {
-                    stage.check_with(&mapping, &rec)?;
+                if let Some(mode) = config.machine.check {
+                    stage.check(&placement, cube_dim, mode, recorder)?;
                 }
                 let program = stage.program(&placement);
                 if pruning {
@@ -534,13 +536,13 @@ fn explore_symbolic(
                     cube_dim,
                     ..base.clone()
                 };
-                let (mapping, placement, target) = match stage.map_with(&cfg, &rec) {
+                let (placement, target) = match stage.map_with(&cfg, &rec) {
                     Ok(x) => x,
                     Err(PipelineError::Mapping(_)) => continue 'cubes,
                     Err(e) => return Err(e),
                 };
-                if config.machine.static_check {
-                    stage.check_with(&mapping, &rec)?;
+                if let Some(mode) = config.machine.check {
+                    stage.check(&placement, cube_dim, mode, recorder)?;
                 }
                 let program = stage.program(&placement);
                 let report = run_machine(&program, target, &config.machine, &rec, Some(scratch))?;
@@ -780,6 +782,23 @@ mod tests {
         assert!(
             counters["explore.symbolic.exact"] > 0,
             "matvec must derive exactly, not ride the fallback: {counters:?}"
+        );
+    }
+
+    #[test]
+    fn requested_check_engine_runs_per_candidate() {
+        // The selected engine runs, and its counters reach the sweep
+        // recorder; a passing check leaves the ranking unchanged.
+        let w = loom_workloads::l1::workload(4);
+        let mut config = cfg();
+        config.machine.check = Some(loom_check::CheckMode::Symbolic);
+        let rec = Recorder::enabled();
+        let got = explore_with(&w.nest, &[0, 1], &config, &rec).unwrap();
+        assert_eq!(got, explore(&w.nest, &[0, 1], &cfg()).unwrap());
+        let counters = rec.counters();
+        assert!(
+            counters.get("check.symbolic.lattice").copied().unwrap_or(0) > 0,
+            "{counters:?}"
         );
     }
 

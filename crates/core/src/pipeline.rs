@@ -1,6 +1,7 @@
 //! The end-to-end pipeline: loop nest → dependences → Π → blocks →
 //! hypercube mapping → simulated execution.
 
+use loom_check::CheckMode;
 use loom_hyperplane::{SearchConfig, TimeFn};
 use loom_loopir::{DepOptions, LoopNest, Point};
 use loom_machine::trace::{verify_trace, TraceViolation};
@@ -11,7 +12,7 @@ use loom_machine::{
 use loom_mapping::other_targets::{map_partitioning_mesh, map_partitioning_ring};
 use loom_mapping::{map_partitioning, Mapping};
 use loom_obs::{Json, Recorder};
-use loom_partition::comm::comm_stats;
+use loom_partition::comm::block_graph;
 use loom_partition::{partition, CommStats, PartitionConfig, Partitioning, Tig};
 
 /// The machine the blocks are mapped onto.
@@ -52,8 +53,8 @@ impl Target {
     }
 }
 
-/// Machine-simulation options for the pipeline (the topology is always
-/// the hypercube selected by `cube_dim`).
+/// Machine-simulation options for the pipeline (the topology is the
+/// pipeline's [`Target`]).
 #[derive(Clone, Debug)]
 pub struct MachineOptions {
     /// Timing parameters.
@@ -73,25 +74,15 @@ pub struct MachineOptions {
     /// (implies trace recording) and fail the pipeline with
     /// [`PipelineError::Trace`] on any violation.
     pub validate_trace: bool,
-    /// Run the `loom-check` static verifier over the pipeline's
-    /// artifacts after mapping (before simulation) and fail with
-    /// [`PipelineError::StaticCheck`] on any error-severity diagnostic.
-    pub static_check: bool,
-    /// Run the static check with the symbolic engine
-    /// ([`loom_check::CheckMode::Symbolic`]): `LC009`–`LC012` prove
-    /// legality, Lemma 1, and the communication protocol in time
-    /// independent of the iteration-space extent, instead of the
-    /// enumerative point-and-message walk. Only consulted when
-    /// `static_check` is set.
-    pub symbolic_check: bool,
-    /// Run the static check with the interleaving engine
-    /// ([`loom_check::CheckMode::Interleaving`]): `LC015` bounds every
-    /// op index and access image of the generated program, then
-    /// `LC013`/`LC014` model-check deadlock-freedom and determinacy
-    /// over **all** message interleavings with dynamic partial-order
-    /// reduction. Only consulted when `static_check` is set; takes
-    /// precedence over `symbolic_check`.
-    pub interleave_check: bool,
+    /// Run the `loom-check` static verifier with this engine over the
+    /// pipeline's artifacts after mapping (before simulation) and fail
+    /// with [`PipelineError::StaticCheck`] on any error-severity
+    /// diagnostic. [`CheckMode::Enumerative`] walks points and
+    /// messages, [`CheckMode::Symbolic`] proves the same properties in
+    /// time independent of the iteration-space extent, and
+    /// [`CheckMode::Interleaving`] model-checks the generated program
+    /// over all message interleavings. `None` skips the check.
+    pub check: Option<CheckMode>,
     /// Inject faults during simulation: the deterministic plan plus the
     /// recovery policy ([`loom_machine::fault`]). `None` simulates the
     /// paper's perfectly reliable machine.
@@ -108,9 +99,7 @@ impl Default for MachineOptions {
             record_trace: false,
             collect_metrics: false,
             validate_trace: false,
-            static_check: false,
-            symbolic_check: false,
-            interleave_check: false,
+            check: None,
             faults: None,
         }
     }
@@ -137,7 +126,8 @@ pub struct PipelineConfig {
     /// Algorithm 1 options.
     pub partition: PartitionConfig,
     /// Hypercube dimension `n` (the machine has `2ⁿ` processors).
-    /// Ignored when `target` is set.
+    /// When `target` is set, only a static check reads it
+    /// ([`PartitionedStage::check`]).
     pub cube_dim: usize,
     /// Explicit machine target; `None` uses `Hypercube(cube_dim)`.
     pub target: Option<Target>,
@@ -208,10 +198,9 @@ pub struct PipelineOutput {
     pub comm: CommStats,
     /// The Task Interaction Graph of the blocks.
     pub tig: Tig,
-    /// Algorithm 2's block → processor mapping.
-    pub mapping: Mapping,
-    /// The placement on the configured target (same as `mapping` for
-    /// hypercube targets).
+    /// The block placement on the configured target; Algorithm 2's
+    /// mapping for hypercube targets
+    /// ([`Placement::as_hypercube`]).
     pub placement: Placement,
     /// The machine target used.
     pub target: Target,
@@ -251,7 +240,7 @@ pub enum PipelineError {
     Trace(Vec<TraceViolation>),
     /// The `loom-check` static verifier reported error-severity
     /// diagnostics (only produced when
-    /// [`MachineOptions::static_check`] is set). The full report —
+    /// [`MachineOptions::check`] is set). The full report —
     /// warnings included — rides along for rendering.
     StaticCheck(loom_check::Report),
     /// A simulation-derived artifact was requested from a pipeline
@@ -384,27 +373,12 @@ impl Pipeline {
             config.uniformize,
             recorder,
         )?;
-        let pi = match &config.time_fn {
-            Some(coeffs) => {
-                let pi = TimeFn::new(coeffs.clone());
-                pi.check_legal(&deps).map_err(PipelineError::TimeFn)?;
-                coeffs.clone()
-            }
-            None => loom_hyperplane::find_optimal_with(
-                &deps,
-                self.nest.space(),
-                config.search,
-                recorder,
-            )
-            .map_err(PipelineError::TimeFn)?
-            .coeffs()
-            .to_vec(),
-        };
+        let pi = self.time_fn(&deps, config, recorder)?;
         let machine = config.machine.clone().unwrap_or_default();
         let derived = crate::symbolic_cost::derive(
             family,
             &deps,
-            &pi,
+            pi.coeffs(),
             &config.partition,
             config.cube_dim,
             target_size,
@@ -415,6 +389,27 @@ impl Pipeline {
         recorder.add("pipeline.symbolic_probe_sims", cache.sims());
         recorder.add("pipeline.symbolic_probe_points", cache.points_spent());
         Ok(derived)
+    }
+
+    /// The time transformation Π: `config.time_fn` when fixed (checked
+    /// legal for `deps`), otherwise the hyperplane method's optimum.
+    fn time_fn(
+        &self,
+        deps: &[Point],
+        config: &PipelineConfig,
+        recorder: &Recorder,
+    ) -> Result<TimeFn, PipelineError> {
+        match &config.time_fn {
+            Some(coeffs) => {
+                let pi = TimeFn::new(coeffs.clone());
+                pi.check_legal(deps).map_err(PipelineError::TimeFn)?;
+                Ok(pi)
+            }
+            None => {
+                loom_hyperplane::find_optimal_with(deps, self.nest.space(), config.search, recorder)
+                    .map_err(PipelineError::TimeFn)
+            }
+        }
     }
 
     /// [`stage_partition`](Pipeline::stage_partition) with the
@@ -431,20 +426,7 @@ impl Pipeline {
         // 2. Time transformation (hyperplane method).
         let pi = {
             let _s = recorder.span("pipeline.time_fn");
-            match &config.time_fn {
-                Some(coeffs) => {
-                    let pi = TimeFn::new(coeffs.clone());
-                    pi.check_legal(&deps).map_err(PipelineError::TimeFn)?;
-                    pi
-                }
-                None => loom_hyperplane::find_optimal_with(
-                    &deps,
-                    self.nest.space(),
-                    config.search,
-                    recorder,
-                )
-                .map_err(PipelineError::TimeFn)?,
-            }
+            self.time_fn(&deps, config, recorder)?
         };
 
         // 2b. Statement-level offsets (fine-grain schedule): derived
@@ -488,8 +470,10 @@ impl Pipeline {
             )
             .map_err(PipelineError::Partition)?
         };
-        let comm = comm_stats(&partitioning);
-        let tig = Tig::from_partitioning(&partitioning);
+        let (comm, tig) = {
+            let _s = recorder.span("pipeline.block_graph");
+            block_graph(&partitioning)
+        };
         recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
         recorder.add("pipeline.interblock_arcs", comm.interblock_arcs as u64);
 
@@ -565,23 +549,18 @@ pub struct PartitionedStage<'a> {
 
 impl PartitionedStage<'_> {
     /// Step 4 — mapping: Algorithm 2 on hypercubes, the extension
-    /// allocators on meshes/rings. The hypercube mapping is always
-    /// produced (it is the paper's artifact and cheap).
+    /// allocators on meshes/rings. Only the target's placement is built.
     pub fn map_with(
         &self,
         config: &PipelineConfig,
         recorder: &Recorder,
-    ) -> Result<(Mapping, Placement, Target), PipelineError> {
+    ) -> Result<(Placement, Target), PipelineError> {
         let target = config.target.unwrap_or(Target::Hypercube(config.cube_dim));
-        let cube_dim_for_alg2 = match target {
-            Target::Hypercube(d) => d,
-            _ => config.cube_dim,
-        };
         let _s = recorder.span("pipeline.mapping");
-        let mapping = map_partitioning(&self.partitioning, cube_dim_for_alg2)
-            .map_err(PipelineError::Mapping)?;
         let placement = match target {
-            Target::Hypercube(_) => Placement::Hypercube(mapping.clone()),
+            Target::Hypercube(d) => Placement::Hypercube(
+                map_partitioning(&self.partitioning, d).map_err(PipelineError::Mapping)?,
+            ),
             Target::Mesh { rows, cols } => Placement::Other(
                 map_partitioning_mesh(&self.partitioning, rows, cols)
                     .map_err(PipelineError::Mapping)?,
@@ -590,27 +569,33 @@ impl PartitionedStage<'_> {
                 map_partitioning_ring(&self.partitioning, n).map_err(PipelineError::Mapping)?,
             ),
         };
-        Ok((mapping, placement, target))
+        Ok((placement, target))
     }
 
-    /// Step 4b — static verification (`loom-check`): every rule runs
-    /// against the stage's artifacts plus the given mapping, counters
-    /// land as `check.<code>`, and error-severity diagnostics abort the
-    /// pipeline before any simulation is paid for.
-    pub fn check_with(&self, mapping: &Mapping, recorder: &Recorder) -> Result<(), PipelineError> {
-        self.check_mode(mapping, loom_check::CheckMode::Enumerative, recorder)
-    }
-
-    /// [`check_with`](PartitionedStage::check_with) with an explicit
-    /// engine choice; symbolic runs additionally record the
-    /// `check.symbolic.*` proof-discharge counters.
-    pub fn check_mode(
+    /// Step 4b — static verification (`loom-check`) with the given
+    /// engine: every rule runs against the stage's artifacts plus the
+    /// placement, counters land as `check.<code>` (symbolic runs add the
+    /// `check.symbolic.*` proof-discharge counters), and error-severity
+    /// diagnostics abort the pipeline before any simulation is paid for.
+    /// The rules are stated for hypercubes, so a mesh/ring placement is
+    /// checked through Algorithm 2's mapping at `cube_dim` instead.
+    pub fn check(
         &self,
-        mapping: &Mapping,
-        mode: loom_check::CheckMode,
+        placement: &Placement,
+        cube_dim: usize,
+        mode: CheckMode,
         recorder: &Recorder,
     ) -> Result<(), PipelineError> {
         let _s = recorder.span("pipeline.check");
+        let alg2;
+        let mapping = match placement.as_hypercube() {
+            Some(m) => m,
+            None => {
+                alg2 = map_partitioning(&self.partitioning, cube_dim)
+                    .map_err(PipelineError::Mapping)?;
+                &alg2
+            }
+        };
         let report = loom_check::check_pipeline_mode(
             &loom_check::PipelineCheck {
                 nest: self.nest,
@@ -656,23 +641,19 @@ impl PartitionedStage<'_> {
         recorder: &Recorder,
         scratch: Option<&mut SimScratch>,
     ) -> Result<PipelineOutput, PipelineError> {
-        let (mapping, placement, target) = self.map_with(config, recorder)?;
-        if let Some(opts) = config.machine.as_ref().filter(|o| o.static_check) {
-            let mode = if opts.interleave_check {
-                loom_check::CheckMode::Interleaving
-            } else if opts.symbolic_check {
-                loom_check::CheckMode::Symbolic
-            } else {
-                loom_check::CheckMode::Enumerative
-            };
-            self.check_mode(&mapping, mode, recorder)?;
+        let (placement, target) = self.map_with(config, recorder)?;
+        if let Some(mode) = config.machine.as_ref().and_then(|o| o.check) {
+            self.check(&placement, config.cube_dim, mode, recorder)?;
         }
 
         // 5. Machine simulation.
         let sim = match &config.machine {
             None => None,
             Some(opts) => {
-                let program = self.program(&placement);
+                let program = {
+                    let _s = recorder.span("pipeline.program");
+                    self.program(&placement)
+                };
                 Some(run_machine(&program, target, opts, recorder, scratch)?)
             }
         };
@@ -692,7 +673,6 @@ impl PartitionedStage<'_> {
             partitioning,
             comm,
             tig,
-            mapping,
             placement,
             target,
             stmt_offsets,
@@ -991,7 +971,9 @@ mod tests {
             "hyperplane.search",
             "pipeline.stmt_offsets",
             "pipeline.partition",
+            "pipeline.block_graph",
             "pipeline.mapping",
+            "pipeline.program",
             "pipeline.simulate",
             "pipeline.total",
         ] {
@@ -1100,7 +1082,7 @@ mod tests {
                 &PipelineConfig {
                     cube_dim: 1,
                     machine: Some(MachineOptions {
-                        static_check: true,
+                        check: Some(CheckMode::Enumerative),
                         ..Default::default()
                     }),
                     ..Default::default()
@@ -1115,10 +1097,38 @@ mod tests {
     }
 
     #[test]
+    fn static_check_on_mesh_target_checks_algorithm2_mapping() {
+        // The hypercube rules need a hypercube mapping: a mesh run checks
+        // Algorithm 2's mapping at `cube_dim`, built only for the check.
+        let w = loom_workloads::matvec::workload(16);
+        let config = |cube_dim| PipelineConfig {
+            time_fn: Some(w.pi.clone()),
+            cube_dim,
+            target: Some(Target::Mesh { rows: 2, cols: 2 }),
+            machine: Some(MachineOptions {
+                check: Some(CheckMode::Enumerative),
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let rec = Recorder::enabled();
+        let out = Pipeline::new(w.nest.clone())
+            .run_with(&config(2), &rec)
+            .unwrap();
+        assert!(out.placement.as_hypercube().is_none());
+        assert!(rec.spans().iter().any(|s| s.name == "check.total"));
+        // A cube too large for the blocks fails only because of the check.
+        let err = Pipeline::new(w.nest.clone()).run(&config(20)).unwrap_err();
+        assert!(matches!(err, PipelineError::Mapping(_)));
+        let mut unchecked = config(20);
+        unchecked.machine.as_mut().unwrap().check = None;
+        assert!(Pipeline::new(w.nest.clone()).run(&unchecked).is_ok());
+    }
+
+    #[test]
     fn static_check_off_by_default() {
         let opts = MachineOptions::default();
-        assert!(!opts.static_check);
-        assert!(!opts.symbolic_check);
+        assert!(opts.check.is_none());
         assert!(opts.faults.is_none());
     }
 
@@ -1131,8 +1141,7 @@ mod tests {
                 &PipelineConfig {
                     cube_dim: 1,
                     machine: Some(MachineOptions {
-                        static_check: true,
-                        symbolic_check: true,
+                        check: Some(CheckMode::Symbolic),
                         ..Default::default()
                     }),
                     ..Default::default()
@@ -1155,8 +1164,7 @@ mod tests {
                 &PipelineConfig {
                     cube_dim: 2,
                     machine: Some(MachineOptions {
-                        static_check: true,
-                        interleave_check: true,
+                        check: Some(CheckMode::Interleaving),
                         ..Default::default()
                     }),
                     ..Default::default()

@@ -24,15 +24,15 @@
 //! use loom_exec::{equivalent, execute_in_order, schedule_order, sequential};
 //! use loom_exec::memory::address_hash_init;
 //! use loom_hyperplane::{Schedule, TimeFn};
+//! use loom_partition::ComputationalStructure;
 //!
 //! let w = loom_workloads::matvec::workload(6);
 //! let serial = sequential(&w.nest, &address_hash_init);
 //! // Re-execute in hyperplane front order: bit-identical.
-//! let points: Vec<_> = w.nest.space().points().collect();
+//! let cs = ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap();
 //! let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-//! let order = schedule_order(&points, &sched);
-//! let par = execute_in_order(&w.nest, &points, &order, &w.verified_deps(),
-//!                            &address_hash_init).unwrap();
+//! let order = schedule_order(cs.points(), &sched);
+//! let par = execute_in_order(&w.nest, &cs, &order, &address_hash_init).unwrap();
 //! assert_eq!(equivalent(&par, &serial), Ok(()));
 //! ```
 

@@ -6,6 +6,7 @@ use crate::oracle::execute_iteration;
 use loom_hyperplane::Schedule;
 use loom_loopir::{LoopNest, Point};
 use loom_machine::trace::TaskRecord;
+use loom_partition::ComputationalStructure;
 use std::collections::HashMap;
 
 /// A divergence between two executions, or an invalid order.
@@ -34,40 +35,33 @@ pub enum Divergence {
     NotAPermutation,
 }
 
-/// Execute the nest visiting `order[k]`-th points of `points` in
-/// sequence. Validates that the order is a permutation and respects the
-/// given dependence set (every `p − d` predecessor inside the space must
+/// Execute the nest visiting the points of `cs` with ids `order[0]`,
+/// `order[1]`, … in sequence. Validates that the order is a permutation
+/// and respects the dependence set of `cs` (every predecessor must
 /// already have executed).
 pub fn execute_in_order(
     nest: &LoopNest,
-    points: &[Point],
+    cs: &ComputationalStructure,
     order: &[usize],
-    deps: &[Point],
     init: &dyn Fn(&str, &[i64]) -> f64,
 ) -> Result<Memory, Divergence> {
-    if order.len() != points.len() {
+    if order.len() != cs.len() {
         return Err(Divergence::NotAPermutation);
     }
-    let index: HashMap<&Point, usize> = points.iter().enumerate().map(|(i, p)| (p, i)).collect();
-    let mut done = vec![false; points.len()];
+    let points = cs.points();
+    let mut done = vec![false; cs.len()];
     let mut mem = Memory::new();
     for &id in order {
-        if id >= points.len() || done[id] {
+        if id >= cs.len() || done[id] {
             return Err(Divergence::NotAPermutation);
         }
-        let p = &points[id];
-        for d in deps {
-            let pred: Point = p.iter().zip(d).map(|(&a, &b)| a - b).collect();
-            if let Some(&pid) = index.get(&pred) {
-                if !done[pid] {
-                    return Err(Divergence::OrderViolation {
-                        point: p.clone(),
-                        predecessor: pred,
-                    });
-                }
-            }
+        if let Some((pid, _)) = cs.predecessors(id).find(|&(pid, _)| !done[pid]) {
+            return Err(Divergence::OrderViolation {
+                point: points[id].clone(),
+                predecessor: points[pid].clone(),
+            });
         }
-        execute_iteration(nest, p, &mut mem, init);
+        execute_iteration(nest, &points[id], &mut mem, init);
         done[id] = true;
     }
     Ok(mem)
@@ -139,14 +133,17 @@ mod tests {
         loom_workloads::l1::workload(4)
     }
 
+    fn structure(w: &loom_workloads::Workload) -> ComputationalStructure {
+        ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap()
+    }
+
     #[test]
     fn schedule_order_matches_sequential() {
         let w = l1();
         let points: Vec<Point> = w.nest.space().points().collect();
         let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
         let order = schedule_order(&points, &sched);
-        let deps = w.verified_deps();
-        let par = execute_in_order(&w.nest, &points, &order, &deps, &address_hash_init).unwrap();
+        let par = execute_in_order(&w.nest, &structure(&w), &order, &address_hash_init).unwrap();
         let seq = sequential(&w.nest, &address_hash_init);
         assert_eq!(equivalent(&par, &seq), Ok(()));
     }
@@ -165,8 +162,7 @@ mod tests {
                 order.push(index[p]);
             }
         }
-        let deps = w.verified_deps();
-        let par = execute_in_order(&w.nest, &points, &order, &deps, &address_hash_init).unwrap();
+        let par = execute_in_order(&w.nest, &structure(&w), &order, &address_hash_init).unwrap();
         assert_eq!(
             equivalent(&par, &sequential(&w.nest, &address_hash_init)),
             Ok(())
@@ -176,27 +172,25 @@ mod tests {
     #[test]
     fn bad_order_detected() {
         let w = l1();
-        let points: Vec<Point> = w.nest.space().points().collect();
-        let deps = w.verified_deps();
+        let cs = structure(&w);
         // Reverse lexicographic order executes sinks first.
-        let order: Vec<usize> = (0..points.len()).rev().collect();
-        let err = execute_in_order(&w.nest, &points, &order, &deps, &|_, _| 0.0).unwrap_err();
+        let order: Vec<usize> = (0..cs.len()).rev().collect();
+        let err = execute_in_order(&w.nest, &cs, &order, &|_, _| 0.0).unwrap_err();
         assert!(matches!(err, Divergence::OrderViolation { .. }));
     }
 
     #[test]
     fn non_permutation_detected() {
         let w = l1();
-        let points: Vec<Point> = w.nest.space().points().collect();
-        let deps = w.verified_deps();
+        let cs = structure(&w);
         let short = vec![0usize, 1];
         assert_eq!(
-            execute_in_order(&w.nest, &points, &short, &deps, &|_, _| 0.0).unwrap_err(),
+            execute_in_order(&w.nest, &cs, &short, &|_, _| 0.0).unwrap_err(),
             Divergence::NotAPermutation
         );
-        let dup = vec![0usize; points.len()];
+        let dup = vec![0usize; cs.len()];
         assert_eq!(
-            execute_in_order(&w.nest, &points, &dup, &deps, &|_, _| 0.0).unwrap_err(),
+            execute_in_order(&w.nest, &cs, &dup, &|_, _| 0.0).unwrap_err(),
             Divergence::NotAPermutation
         );
     }

@@ -2,7 +2,8 @@
 //! boundaries, and which groups depend on which.
 
 use crate::blocks::Partitioning;
-use std::collections::BTreeSet;
+use crate::tig::Tig;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Dependence-arc counts for a partitioning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,21 +29,41 @@ impl CommStats {
 /// Count total and interblock dependence arcs at the iteration level
 /// (the paper's "33 dependencies, 12 interprocessor" for loop L1).
 pub fn comm_stats(p: &Partitioning) -> CommStats {
+    census(p).0
+}
+
+/// The block-level view of a partitioning's arc relation from a single
+/// walk over its arcs: the communication statistics and the Task
+/// Interaction Graph. Pipelines call this once per partitioning instead
+/// of [`comm_stats`] and [`Tig::from_partitioning`] separately.
+pub fn block_graph(p: &Partitioning) -> (CommStats, Tig) {
+    let (stats, traffic) = census(p);
+    (stats, Tig::from_traffic(p, traffic))
+}
+
+/// The one arc walk behind [`comm_stats`], [`block_traffic`] and
+/// [`block_graph`].
+fn census(p: &Partitioning) -> (CommStats, BTreeMap<(usize, usize), u64>) {
     let cs = p.structure();
     let mut total = 0;
     let mut inter = 0;
+    let mut traffic = BTreeMap::new();
     for id in 0..cs.len() {
+        let a = p.block_of(id);
         for (succ, _dep) in cs.successors(id) {
             total += 1;
-            if p.block_of(id) != p.block_of(succ) {
+            let b = p.block_of(succ);
+            if a != b {
                 inter += 1;
+                *traffic.entry((a, b)).or_insert(0u64) += 1;
             }
         }
     }
-    CommStats {
+    let stats = CommStats {
         total_arcs: total,
         interblock_arcs: inter,
-    }
+    };
+    (stats, traffic)
 }
 
 /// The group-dependence graph at the *projected* level: `out[i]` is the
@@ -75,18 +96,8 @@ pub fn group_dependence_graph(p: &Partitioning) -> Vec<BTreeSet<usize>> {
 /// Per-ordered-pair interblock arc counts at the iteration level:
 /// `(src_block, dst_block) → number of arcs`, excluding intra-block
 /// pairs. These are the message volumes the machine model charges.
-pub fn block_traffic(p: &Partitioning) -> std::collections::BTreeMap<(usize, usize), u64> {
-    let cs = p.structure();
-    let mut traffic = std::collections::BTreeMap::new();
-    for id in 0..cs.len() {
-        for (succ, _dep) in cs.successors(id) {
-            let (a, b) = (p.block_of(id), p.block_of(succ));
-            if a != b {
-                *traffic.entry((a, b)).or_insert(0u64) += 1;
-            }
-        }
-    }
-    traffic
+pub fn block_traffic(p: &Partitioning) -> BTreeMap<(usize, usize), u64> {
+    census(p).1
 }
 
 #[cfg(test)]
@@ -152,6 +163,11 @@ mod tests {
         assert_eq!(sum as usize, comm_stats(&p).interblock_arcs);
         // No self-loops.
         assert!(traffic.keys().all(|&(a, b)| a != b));
+        // The fused pass agrees with the separate reads.
+        let (stats, tig) = block_graph(&p);
+        assert_eq!(stats, comm_stats(&p));
+        assert_eq!(tig, Tig::from_partitioning(&p));
+        assert_eq!(tig.total_traffic(), sum);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!
 //! [`comm`] counts total vs. interblock dependences (the paper's "33
 //! dependences, 12 interprocessor" for loop L1), [`tig`] builds the Task
-//! Interaction Graph consumed by the mapping phase, and [`laws`] checks
-//! Lemmas 1–3 and Theorems 1–2 as executable validators.
+//! Interaction Graph consumed by the mapping phase
+//! ([`comm::block_graph`] derives both from one walk over the arcs), and
+//! [`laws`] checks Lemmas 1–3 and Theorems 1–2 as executable validators.
 //!
 //! ```
 //! use loom_hyperplane::TimeFn;

@@ -67,26 +67,51 @@ impl ComputationalStructure {
         self.index.get(p).copied()
     }
 
-    /// The point ids reachable from point `id` along each dependence
-    /// (its out-neighbors in the dependence graph), with the dependence
-    /// index that produced each arc.
-    pub fn successors(&self, id: usize) -> Vec<(usize, usize)> {
-        let p = &self.points[id];
-        self.deps
-            .iter()
-            .enumerate()
-            .filter_map(|(k, d)| {
-                let q: Point = p.iter().zip(d).map(|(&a, &b)| a + b).collect();
-                self.id_of(&q).map(|qid| (qid, k))
-            })
-            .collect()
+    /// The dependence arcs leaving point `id` (Definition 2: `p → p + d`
+    /// whenever `p + d ∈ V`), as `(successor id, dependence index)` in
+    /// dependence order. This and [`predecessors`] are the only code
+    /// that decides what an arc is; every consumer walks them.
+    ///
+    /// [`predecessors`]: ComputationalStructure::predecessors
+    pub fn successors(&self, id: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.arcs(id, 1)
+    }
+
+    /// The dependence arcs entering point `id` (`p − d → p` whenever
+    /// `p − d ∈ V`), as `(predecessor id, dependence index)` in
+    /// dependence order.
+    pub fn predecessors(&self, id: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.arcs(id, -1)
+    }
+
+    /// The neighbours `p + sign·d` of point `id` that lie in `V`. The
+    /// neighbour is built in a stack buffer, so the walk allocates only
+    /// for nests deeper than [`INLINE_DIM`].
+    fn arcs(&self, id: usize, sign: i64) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let p = &self.points[id][..];
+        let mut inline = [0i64; INLINE_DIM];
+        let mut spill = vec![0; if p.len() > INLINE_DIM { p.len() } else { 0 }];
+        self.deps.iter().enumerate().filter_map(move |(k, d)| {
+            let q = if p.len() > INLINE_DIM {
+                &mut spill[..]
+            } else {
+                &mut inline[..p.len()]
+            };
+            for ((out, &a), &b) in q.iter_mut().zip(p).zip(d) {
+                *out = a + sign * b;
+            }
+            self.index.get(&q[..]).map(|&qid| (qid, k))
+        })
     }
 
     /// Total number of dependence arcs in `Q` (33 for the paper's L1).
     pub fn num_arcs(&self) -> usize {
-        (0..self.len()).map(|i| self.successors(i).len()).sum()
+        (0..self.len()).map(|i| self.successors(i).count()).sum()
     }
 }
+
+/// Nest depth up to which arc walks build neighbour points on the stack.
+const INLINE_DIM: usize = 8;
 
 /// The projected structure `Q^p = (V^p, D^p)` (Definition 5): the images
 /// of `V` and `D` on the zero-hyperplane `Π·x = 0`.
@@ -306,9 +331,41 @@ mod tests {
     fn successors_respect_space_bounds() {
         let (cs, _) = l1();
         let corner = cs.id_of(&[3, 3]).unwrap();
-        assert!(cs.successors(corner).is_empty());
+        assert_eq!(cs.successors(corner).count(), 0);
         let origin = cs.id_of(&[0, 0]).unwrap();
-        assert_eq!(cs.successors(origin).len(), 3);
+        assert_eq!(cs.successors(origin).count(), 3);
+        assert_eq!(cs.predecessors(origin).count(), 0);
+        let a = cs.id_of(&[1, 1]).unwrap();
+        // (1,1) − (0,1), − (1,1), − (1,0), in dependence order.
+        let expected = [
+            (cs.id_of(&[1, 0]).unwrap(), 0),
+            (origin, 1),
+            (cs.id_of(&[0, 1]).unwrap(), 2),
+        ];
+        assert_eq!(cs.predecessors(a).collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn arcs_beyond_inline_dims_match_inline_walk() {
+        // A 9-deep nest takes the heap-buffer path; its arcs must be the
+        // same relation as in the equivalent 2-deep nest.
+        let mut extents = vec![1; 9];
+        extents[0] = 3;
+        extents[8] = 3;
+        let mut d = vec![0; 9];
+        d[0] = 1;
+        d[8] = 1;
+        let wide =
+            ComputationalStructure::new(IterSpace::rect(&extents).unwrap(), vec![d]).unwrap();
+        let flat = ComputationalStructure::new(IterSpace::rect(&[3, 3]).unwrap(), vec![vec![1, 1]])
+            .unwrap();
+        for id in 0..flat.len() {
+            let s: Vec<_> = wide.successors(id).collect();
+            assert_eq!(s, flat.successors(id).collect::<Vec<_>>());
+            let p: Vec<_> = wide.predecessors(id).collect();
+            assert_eq!(p, flat.predecessors(id).collect::<Vec<_>>());
+        }
+        assert_eq!(wide.num_arcs(), 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Task Interaction Graph (TIG) model used by the mapping phase.
 
 use crate::blocks::Partitioning;
-use crate::comm::block_traffic;
+use crate::comm::block_graph;
 use std::collections::BTreeMap;
 
 /// A Task Interaction Graph: one vertex per partitioned block, undirected
@@ -33,11 +33,17 @@ impl Tig {
 
     /// Build the TIG of a partitioning: vertex weights are block sizes,
     /// edge weights are the number of dependence arcs between the blocks
-    /// (both directions folded together).
+    /// (both directions folded together). See [`block_graph`] for the
+    /// TIG together with the communication statistics.
     pub fn from_partitioning(p: &Partitioning) -> Tig {
+        block_graph(p).1
+    }
+
+    /// The TIG of `p` from its per-ordered-pair interblock traffic.
+    pub(crate) fn from_traffic(p: &Partitioning, traffic: BTreeMap<(usize, usize), u64>) -> Tig {
         let weights = p.blocks().iter().map(|b| b.len() as u64).collect();
         let mut edges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for ((a, b), w) in block_traffic(p) {
+        for ((a, b), w) in traffic {
             let key = (a.min(b), a.max(b));
             *edges.entry(key).or_insert(0) += w;
         }

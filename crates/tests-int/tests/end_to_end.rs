@@ -43,8 +43,8 @@ fn all_workloads_full_pipeline_on_2cube() {
         let sim = out.sim.as_ref().unwrap();
         let program = Program::from_partitioning(
             &out.partitioning,
-            out.mapping.assignment(),
-            out.mapping.cube().len(),
+            out.placement.assignment(),
+            out.placement.num_procs(),
             w.nest.flops_per_iteration(),
         );
         let violations = verify_trace(&program, sim.trace.as_ref().unwrap());

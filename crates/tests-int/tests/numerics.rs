@@ -8,8 +8,8 @@ use loom_core::{Pipeline, PipelineConfig};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, schedule_order, sequential, trace_order};
 use loom_hyperplane::{Schedule, TimeFn};
-use loom_loopir::Point;
 use loom_machine::MachineParams;
+use loom_partition::ComputationalStructure;
 
 #[test]
 fn simulated_trace_order_reproduces_sequential_results_all_workloads() {
@@ -28,8 +28,8 @@ fn simulated_trace_order_reproduces_sequential_results_all_workloads() {
             .expect("pipeline runs");
         let trace = out.sim.unwrap().trace.unwrap();
         let order = trace_order(&trace);
-        let points: Vec<Point> = w.nest.space().points().collect();
-        let parallel = execute_in_order(&w.nest, &points, &order, &out.deps, &address_hash_init)
+        let cs = out.partitioning.structure();
+        let parallel = execute_in_order(&w.nest, cs, &order, &address_hash_init)
             .unwrap_or_else(|e| panic!("{}: bad order {e:?}", w.nest.name()));
         let serial = sequential(&w.nest, &address_hash_init);
         assert_eq!(
@@ -45,10 +45,9 @@ fn simulated_trace_order_reproduces_sequential_results_all_workloads() {
 fn hyperplane_schedule_order_reproduces_sequential_results() {
     for w in loom_workloads::all_default() {
         let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-        let points: Vec<Point> = w.nest.space().points().collect();
-        let order = schedule_order(&points, &sched);
-        let deps = w.verified_deps();
-        let parallel = execute_in_order(&w.nest, &points, &order, &deps, &address_hash_init)
+        let cs = ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap();
+        let order = schedule_order(cs.points(), &sched);
+        let parallel = execute_in_order(&w.nest, &cs, &order, &address_hash_init)
             .unwrap_or_else(|e| panic!("{}: bad order {e:?}", w.nest.name()));
         let serial = sequential(&w.nest, &address_hash_init);
         assert_eq!(equivalent(&parallel, &serial), Ok(()), "{}", w.nest.name());
@@ -77,8 +76,8 @@ fn matvec_values_are_the_real_product() {
         })
         .unwrap();
     let trace = out.sim.unwrap().trace.unwrap();
-    let points: Vec<Point> = w.nest.space().points().collect();
-    let mem = execute_in_order(&w.nest, &points, &trace_order(&trace), &out.deps, &init).unwrap();
+    let cs = out.partitioning.structure();
+    let mem = execute_in_order(&w.nest, cs, &trace_order(&trace), &init).unwrap();
     for i in 0..m {
         let expected: f64 = (0..m)
             .map(|j| address_hash_init("A", &[i, j]) * address_hash_init("x", &[j]))
@@ -105,7 +104,6 @@ fn every_mapping_strategy_is_numerically_safe() {
         .unwrap();
     let p = &out.partitioning;
     let serial = sequential(&w.nest, &address_hash_init);
-    let points: Vec<Point> = w.nest.space().points().collect();
     for seed in 0..4u64 {
         let assignment = baseline::random(p.num_blocks(), 4, seed);
         let prog = Program::from_partitioning(p, &assignment, 4, 4);
@@ -113,8 +111,7 @@ fn every_mapping_strategy_is_numerically_safe() {
         cfg.record_trace = true;
         let sim = simulate(&prog, &cfg).unwrap();
         let order = trace_order(&sim.trace.unwrap());
-        let mem =
-            execute_in_order(&w.nest, &points, &order, &out.deps, &address_hash_init).unwrap();
+        let mem = execute_in_order(&w.nest, p.structure(), &order, &address_hash_init).unwrap();
         assert_eq!(equivalent(&mem, &serial), Ok(()), "seed {seed}");
     }
 }

@@ -29,7 +29,7 @@ fn profile_workload(
             ..Default::default()
         };
         let stage = pipeline.stage_partition(&cfg, &rec).expect("stages run");
-        let Ok((_mapping, placement, target)) = stage.map_with(&cfg, &rec) else {
+        let Ok((placement, target)) = stage.map_with(&cfg, &rec) else {
             continue;
         };
         let program = stage.program(&placement);

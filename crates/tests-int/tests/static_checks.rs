@@ -18,7 +18,7 @@ use loom_exec::{equivalent, execute_in_order, sequential, Divergence};
 use loom_hyperplane::TimeFn;
 use loom_mapping::map_partitioning;
 use loom_obs::SplitMix64;
-use loom_partition::{partition, PartitionConfig, Partitioning, Tig};
+use loom_partition::{partition, ComputationalStructure, PartitionConfig, Partitioning, Tig};
 use loom_workloads::Workload;
 
 fn pipeline_artifacts(w: &Workload, cube_dim: usize) -> (Partitioning, Tig, Vec<usize>) {
@@ -73,10 +73,11 @@ fn random_pi_legality_matches_exec_oracle() {
             w.nest.name()
         );
 
-        let points: Vec<Vec<i64>> = w.nest.space().points().collect();
+        let cs = ComputationalStructure::new(w.nest.space().clone(), w.deps.clone()).unwrap();
+        let points = cs.points();
         let mut order: Vec<usize> = (0..points.len()).collect();
         order.sort_by_key(|&i| (pi.time_of(&points[i]), points[i].clone()));
-        let result = execute_in_order(&w.nest, &points, &order, &w.deps, &address_hash_init);
+        let result = execute_in_order(&w.nest, &cs, &order, &address_hash_init);
         if legal {
             accepted += 1;
             let mem = result.expect("legal Π must replay cleanly");
@@ -230,7 +231,7 @@ fn pipeline_gate_rejects_mutants_and_passes_clean() {
         time_fn: Some(w.pi.clone()),
         cube_dim: 1,
         machine: Some(MachineOptions {
-            static_check: true,
+            check: Some(loom_check::CheckMode::Enumerative),
             ..Default::default()
         }),
         ..Default::default()

@@ -14,9 +14,10 @@ use loom_core::{Pipeline, PipelineConfig};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, schedule_order, sequential};
 use loom_hyperplane::{find_optimal, Schedule, SearchConfig};
-use loom_loopir::{parse_nest, Access, Aff, DepOptions, IterSpace, LoopNest, Point, Stmt};
+use loom_loopir::{parse_nest, Access, Aff, DepOptions, IterSpace, LoopNest, Stmt};
 use loom_machine::MachineParams;
 use loom_obs::SplitMix64;
+use loom_partition::ComputationalStructure;
 
 fn repo_path(rel: &str) -> String {
     format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -136,9 +137,9 @@ fn folded_schedule_execution_matches_sequential_oracle() {
                 .unwrap_or_else(|e| panic!("{}: no legal pi: {e:?}", nest.name()));
             assert!(pi.is_legal_for(&u.vectors), "{}", nest.name());
             let sched = Schedule::build(pi, nest.space());
-            let points: Vec<Point> = nest.space().points().collect();
-            let order = schedule_order(&points, &sched);
-            let parallel = execute_in_order(&nest, &points, &order, &u.vectors, &address_hash_init)
+            let cs = ComputationalStructure::new(nest.space().clone(), u.vectors.clone()).unwrap();
+            let order = schedule_order(cs.points(), &sched);
+            let parallel = execute_in_order(&nest, &cs, &order, &address_hash_init)
                 .unwrap_or_else(|e| panic!("{}: bad order {e:?}", nest.name()));
             let serial = sequential(&nest, &address_hash_init);
             assert_eq!(
@@ -201,10 +202,14 @@ fn vardist_samples_run_the_pipeline_and_match_the_oracle() {
         assert!(!out.deps.is_empty(), "{sample}: empty folded D");
         assert!(out.pi.is_legal_for(&out.deps), "{sample}");
         let sched = Schedule::build(out.pi.clone(), nest.space());
-        let points: Vec<Point> = nest.space().points().collect();
-        let order = schedule_order(&points, &sched);
-        let parallel = execute_in_order(&nest, &points, &order, &out.deps, &address_hash_init)
-            .unwrap_or_else(|e| panic!("{sample}: bad order {e:?}"));
+        let order = schedule_order(out.partitioning.structure().points(), &sched);
+        let parallel = execute_in_order(
+            &nest,
+            out.partitioning.structure(),
+            &order,
+            &address_hash_init,
+        )
+        .unwrap_or_else(|e| panic!("{sample}: bad order {e:?}"));
         let serial = sequential(&nest, &address_hash_init);
         assert_eq!(equivalent(&parallel, &serial), Ok(()), "{sample} diverged");
     }

@@ -11,7 +11,6 @@ use loom_core::{Pipeline, PipelineConfig};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, sequential, trace_order};
 use loom_loopir::parse::parse_nest;
-use loom_loopir::Point;
 
 const DEFAULT_SRC: &str = "
 # A skewed two-statement recurrence the library has never seen:
@@ -67,10 +66,14 @@ fn main() {
     );
 
     // Replay the trace numerically and compare against sequential.
-    let points: Vec<Point> = nest.space().points().collect();
     let order = trace_order(sim.trace.as_ref().unwrap());
-    let parallel = execute_in_order(&nest, &points, &order, &out.deps, &address_hash_init)
-        .expect("trace respects dependences");
+    let parallel = execute_in_order(
+        &nest,
+        out.partitioning.structure(),
+        &order,
+        &address_hash_init,
+    )
+    .expect("trace respects dependences");
     match equivalent(&parallel, &sequential(&nest, &address_hash_init)) {
         Ok(()) => println!("verified: parallel execution bit-identical to sequential"),
         Err(d) => println!("DIVERGED: {d:?}"),

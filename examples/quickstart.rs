@@ -52,14 +52,18 @@ fn main() {
     );
     println!();
 
+    let mapping = out
+        .placement
+        .as_hypercube()
+        .expect("hypercube target (the default)");
     println!(
         "Algorithm 2: block -> processor map on a {}-cube:",
-        out.mapping.cube().dim()
+        mapping.cube().dim()
     );
-    for (b, &proc) in out.mapping.assignment().iter().enumerate() {
+    for (b, &proc) in out.placement.assignment().iter().enumerate() {
         println!(
             "  B{b} -> P{proc:0width$b}",
-            width = out.mapping.cube().dim().max(1)
+            width = mapping.cube().dim().max(1)
         );
     }
     println!();

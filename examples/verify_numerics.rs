@@ -10,7 +10,6 @@ use loom_core::report::Table;
 use loom_core::{Pipeline, PipelineConfig};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, sequential, trace_order};
-use loom_loopir::Point;
 
 fn main() {
     println!("For each workload: run the full pipeline with an execution trace,");
@@ -31,12 +30,11 @@ fn main() {
             })
             .expect("pipeline runs");
         let trace = out.sim.unwrap().trace.unwrap();
-        let points: Vec<Point> = w.nest.space().points().collect();
+        let points = out.partitioning.structure().points();
         let parallel = execute_in_order(
             &w.nest,
-            &points,
+            out.partitioning.structure(),
             &trace_order(&trace),
-            &out.deps,
             &address_hash_init,
         )
         .expect("trace order respects dependences");
