@@ -20,7 +20,7 @@ fn main() {
     let w = loom_workloads::sor::workload(24, 24);
     let cs = ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap();
     let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-    let order = schedule_order(cs.points(), &sched);
+    let order = schedule_order(&cs, &sched);
     bench.run("ordered_execution/sor24_front_order", || {
         execute_in_order(&w.nest, &cs, &order, &address_hash_init)
             .unwrap()

@@ -10,7 +10,7 @@
 
 use crate::diag::{Diagnostic, RuleId, Span};
 use loom_hyperplane::TimeFn;
-use loom_loopir::Point;
+use loom_partition::Points;
 use loom_rational::{QVec, Ratio};
 use std::collections::BTreeMap;
 
@@ -18,9 +18,9 @@ use std::collections::BTreeMap;
 ///
 /// `blocks` holds iteration-point ids (indices into `points`) per
 /// block, in the shape [`loom_partition::Partitioning::blocks`]
-/// produces — taking the raw slices lets tests hand in deliberately
+/// produces — taking the raw blocks lets tests hand in deliberately
 /// merged blocks without rebuilding a `Partitioning`.
-pub fn check_lemma1(pi: &TimeFn, points: &[Point], blocks: &[Vec<usize>]) -> Vec<Diagnostic> {
+pub fn check_lemma1(pi: &TimeFn, points: Points<'_>, blocks: &[Vec<usize>]) -> Vec<Diagnostic> {
     let piq = pi.as_qvec();
     let mut out = Vec::new();
     for (b, block) in blocks.iter().enumerate() {
@@ -37,8 +37,8 @@ pub fn check_lemma1(pi: &TimeFn, points: &[Point], blocks: &[Vec<usize>]) -> Vec
                 Some(&first) => out.push(Diagnostic::error(
                     RuleId::BlockSharedStep,
                     Span::PointPair {
-                        a: points[first].clone(),
-                        b: point.clone(),
+                        a: points[first].to_vec(),
+                        b: point.to_vec(),
                     },
                     format!(
                         "both iterations of block B{b} execute at step {t}; \
@@ -58,14 +58,12 @@ pub fn check_lemma1(pi: &TimeFn, points: &[Point], blocks: &[Vec<usize>]) -> Vec
 mod tests {
     use super::*;
 
-    fn grid4() -> Vec<Point> {
-        let mut pts = Vec::new();
-        for i in 0..4 {
-            for j in 0..4 {
-                pts.push(vec![i, j]);
-            }
-        }
-        pts
+    use loom_loopir::IterSpace;
+    use loom_partition::ComputationalStructure;
+
+    /// The 4×4 grid; point `(i, j)` has id `4i + j`.
+    fn grid4() -> ComputationalStructure {
+        ComputationalStructure::new(IterSpace::rect(&[4, 4]).unwrap(), vec![]).unwrap()
     }
 
     #[test]
@@ -73,7 +71,7 @@ mod tests {
         // Points along i−j = 0 all have distinct i+j.
         let pts = grid4();
         let block: Vec<usize> = (0..4).map(|k| k * 4 + k).collect();
-        assert!(check_lemma1(&TimeFn::new(vec![1, 1]), &pts, &[block]).is_empty());
+        assert!(check_lemma1(&TimeFn::new(vec![1, 1]), pts.points(), &[block]).is_empty());
     }
 
     #[test]
@@ -81,7 +79,7 @@ mod tests {
         // Points along i+j = 3 all share step 3 under Π = (1,1).
         let pts = grid4();
         let block: Vec<usize> = (0..4).map(|k| k * 4 + (3 - k)).collect();
-        let ds = check_lemma1(&TimeFn::new(vec![1, 1]), &pts, &[block]);
+        let ds = check_lemma1(&TimeFn::new(vec![1, 1]), pts.points(), &[block]);
         // 4 points on one hyperplane → 3 duplicates of the first.
         assert_eq!(ds.len(), 3);
         assert!(ds.iter().all(|d| d.rule == RuleId::BlockSharedStep));
@@ -94,7 +92,7 @@ mod tests {
         let pts = grid4();
         let mut block: Vec<usize> = (0..4).map(|k| k * 4 + k).collect();
         block.extend((0..2).map(|k| k * 4 + k + 2));
-        let ds = check_lemma1(&TimeFn::new(vec![1, 1]), &pts, &[block]);
+        let ds = check_lemma1(&TimeFn::new(vec![1, 1]), pts.points(), &[block]);
         assert_eq!(ds.len(), 2);
     }
 }

@@ -356,7 +356,29 @@ fn run_pipeline_with(
     };
     Pipeline::new(w.nest.clone())
         .run_with(&config, recorder)
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))
+        .map_err(pipeline_failed)
+}
+
+/// A failed pipeline stage, exit 1.
+fn pipeline_failed(e: loom_core::PipelineError) -> CliError {
+    let too_large = matches!(
+        e,
+        loom_core::PipelineError::Partition(loom_partition::Error::TooLarge { .. })
+    );
+    failed_with_size_hint(format!("pipeline failed: {e}"), too_large)
+}
+
+/// `msg` as an exit-1 failure; for a space too large to enumerate, with
+/// a pointer to the explorer mode that needs no enumeration.
+fn failed_with_size_hint(msg: String, too_large: bool) -> CliError {
+    if too_large {
+        CliError::failed(format!(
+            "{msg}\nhint: `loom explore --symbolic` ranks configurations from closed-form \
+             costs without enumerating the iteration space"
+        ))
+    } else {
+        CliError::failed(msg)
+    }
 }
 
 /// An enabled recorder whose flight ring honors `LOOM_FLIGHT_DIR`.
@@ -469,7 +491,7 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
         for (b, block) in p.blocks().iter().enumerate() {
             let pts: Vec<String> = block
                 .iter()
-                .map(|&id| format!("{:?}", p.structure().points()[id]))
+                .map(|&id| format!("{:?}", p.structure().point(id)))
                 .collect();
             println!("  B{b}: {}", pts.join(" "));
         }
@@ -517,9 +539,7 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
     let w = pick_workload(a)?;
     let rec = obs_recorder();
     let out = run_pipeline_with(a, &w, true, &rec)?;
-    let sim = out
-        .sim_report()
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
+    let sim = out.sim_report().map_err(pipeline_failed)?;
     let params = machine_params(a)?;
     println!(
         "{} on {:?} ({} procs), t_calc={} t_start={} t_comm={}{}{}",
@@ -758,7 +778,10 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
         };
         let partitioning =
             loom_partition::partition(w.nest.space().clone(), w.deps.clone(), pi.clone(), &config)
-                .map_err(|e| CliError::failed(format!("partitioning failed: {e}")))?;
+                .map_err(|e| {
+                    let too_large = matches!(e, loom_partition::Error::TooLarge { .. });
+                    failed_with_size_hint(format!("partitioning failed: {e}"), too_large)
+                })?;
         let tig = loom_partition::Tig::from_partitioning(&partitioning);
         let mapping = loom_mapping::map_partitioning(&partitioning, cube_dim)
             .map_err(|e| CliError::failed(format!("mapping failed: {e}")))?;
@@ -1015,10 +1038,8 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
     let pipeline = Pipeline::new(w.nest.clone());
     let stage = pipeline
         .stage_partition(&cfg, &rec)
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
-    let (placement, target) = stage
-        .map_with(&cfg, &rec)
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
+        .map_err(pipeline_failed)?;
+    let (placement, target) = stage.map_with(&cfg, &rec).map_err(pipeline_failed)?;
     let program = {
         let _s = rec.span("pipeline.program");
         stage.program(&placement)

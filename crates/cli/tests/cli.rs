@@ -407,3 +407,26 @@ fn closed_stdout_stops_quietly() {
     assert!(!err.contains("panicked"), "{err}");
     assert!(matches!(out.status.code(), Some(0..=2)), "{:?}", out.status);
 }
+
+#[test]
+fn oversized_space_fails_with_exit_one() {
+    // 5·10^9 × 5·10^9 points overflow the point count: the run must stop
+    // with a typed error before any allocation, not abort on one.
+    let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+        .args([
+            "simulate",
+            "--workload",
+            "matvec",
+            "--size",
+            "5000000000",
+            "--cube",
+            "4",
+        ])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(1), "{:?}: {err}", out.status);
+    assert!(err.contains("too large to enumerate"), "{err}");
+    assert!(err.contains("explore --symbolic"), "{err}");
+}

@@ -164,8 +164,9 @@ pub fn generate(
     for id in 0..cs.len() {
         per_proc_points[proc_of_point(id) as usize].push(id);
     }
+    // Ids are lexicographic ranks, so `(step, id)` is `(step, point)`.
     for list in &mut per_proc_points {
-        list.sort_by_key(|&id| (pi.time_of(&cs.points()[id]), cs.points()[id].clone()));
+        list.sort_by_key(|&id| (pi.time_of(cs.point(id)), id));
     }
 
     let mut per_proc: Vec<Vec<Op>> = vec![Vec::new(); num_procs];

@@ -165,7 +165,7 @@ pub fn makespan_lower_bound_with(
     batch_messages: bool,
     contended: Option<&loom_machine::Topology>,
 ) -> u64 {
-    let n = program.task_flops.len();
+    let n = program.len();
     if n == 0 {
         return 0;
     }
@@ -182,42 +182,38 @@ pub fn makespan_lower_bound_with(
         if batch_messages {
             let mut msg_words: std::collections::HashMap<(u32, u32), u64> =
                 std::collections::HashMap::new();
-            for (i, &(u, v)) in program.arcs.iter().enumerate() {
+            for &(u, v) in &program.arcs {
                 let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
                 if pu != pv {
-                    *msg_words.entry((u, pv)).or_insert(0) += program.arc_words[i] * words_per_arc;
+                    *msg_words.entry((u, pv)).or_insert(0) += words_per_arc;
                 }
             }
             for (&(u, pv), &words) in &msg_words {
                 occupy(program.proc_of[u as usize] as usize, pv as usize, words);
             }
         } else {
-            for (i, &(u, v)) in program.arcs.iter().enumerate() {
+            for &(u, v) in &program.arcs {
                 let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
                 if pu != pv {
-                    occupy(
-                        pu as usize,
-                        pv as usize,
-                        program.arc_words[i] * words_per_arc,
-                    );
+                    occupy(pu as usize, pv as usize, words_per_arc);
                 }
             }
         }
         per_link.into_values().max().unwrap_or(0)
     });
     let mut per_proc = vec![0u64; program.num_procs];
-    for (t, &flops) in program.task_flops.iter().enumerate() {
-        per_proc[program.proc_of[t] as usize] += flops * params.t_calc;
+    for &proc in &program.proc_of {
+        per_proc[proc as usize] += program.flops * params.t_calc;
     }
     // Communication occupancy: one message per remote arc, or per
     // (source task, destination processor) pair under batching.
     if batch_messages {
         let mut msg_words: std::collections::HashMap<(u32, u32), u64> =
             std::collections::HashMap::new();
-        for (i, &(u, v)) in program.arcs.iter().enumerate() {
+        for &(u, v) in &program.arcs {
             let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
             if pu != pv {
-                *msg_words.entry((u, pv)).or_insert(0) += program.arc_words[i] * words_per_arc;
+                *msg_words.entry((u, pv)).or_insert(0) += words_per_arc;
             }
         }
         for (&(u, pv), &words) in &msg_words {
@@ -225,11 +221,10 @@ pub fn makespan_lower_bound_with(
             per_proc[pv as usize] += params.t_recv;
         }
     } else {
-        for (i, &(u, v)) in program.arcs.iter().enumerate() {
+        for &(u, v) in &program.arcs {
             let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
             if pu != pv {
-                let words = program.arc_words[i] * words_per_arc;
-                per_proc[pu as usize] += params.send_occupancy(words);
+                per_proc[pu as usize] += params.send_occupancy(words_per_arc);
                 per_proc[pv as usize] += params.t_recv;
             }
         }
@@ -244,12 +239,11 @@ pub fn makespan_lower_bound_with(
         return work;
     }
     let mut incoming: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-    for (i, &(u, v)) in program.arcs.iter().enumerate() {
+    for &(u, v) in &program.arcs {
         let delay = if program.proc_of[u as usize] == program.proc_of[v as usize] {
             0
         } else {
-            let words = program.arc_words[i] * words_per_arc;
-            params.send_occupancy(words) + params.t_recv
+            params.send_occupancy(words_per_arc) + params.t_recv
         };
         incoming[v as usize].push((u, delay));
     }
@@ -263,7 +257,7 @@ pub fn makespan_lower_bound_with(
             .map(|&(u, delay)| finish[u as usize] + delay)
             .max()
             .unwrap_or(0);
-        finish[t as usize] = ready + program.task_flops[t as usize] * params.t_calc;
+        finish[t as usize] = ready + program.flops * params.t_calc;
         path = path.max(finish[t as usize]);
     }
     work.max(path)

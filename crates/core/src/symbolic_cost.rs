@@ -463,21 +463,21 @@ impl ProbeCache {
                             // Count with an early exit: a huge size only
                             // needs to prove "over cap", not its exact
                             // (possibly 10^12) point count — and an
-                            // incomplete count is not memoized.
-                            let nest = family(n);
-                            let mut p = 0u64;
-                            let mut complete = true;
-                            for _ in nest.space().points() {
-                                p += 1;
-                                if cost.saturating_add(p.saturating_mul(2)) > cap {
-                                    complete = false;
-                                    break;
+                            // incomplete count is not memoized. `limit`
+                            // is the largest count that keeps the
+                            // estimate within `cap`; past it the estimate
+                            // is reported at `limit + 1` points.
+                            let limit = (cap - cost) / 2;
+                            let counted = family(n)
+                                .space()
+                                .count_up_to(usize::try_from(limit).unwrap_or(usize::MAX));
+                            match counted {
+                                Some(p) => {
+                                    self.point_counts.insert(n, p as u64);
+                                    p as u64
                                 }
+                                None => limit + 1,
                             }
-                            if complete {
-                                self.point_counts.insert(n, p);
-                            }
-                            p
                         }
                     };
                     cost = cost.saturating_add(pts.saturating_mul(2));
@@ -510,13 +510,16 @@ impl ProbeCache {
             let got = loom_loopir::deps::dependence_vectors(&nest, DepOptions::default());
             let entry = match got {
                 Ok(d) if d == deps => {
-                    let points = nest.space().count() as u64;
-                    if self.points_spent.saturating_add(points) > budget {
+                    let counted = budget.checked_sub(self.points_spent).and_then(|left| {
+                        nest.space()
+                            .count_up_to(usize::try_from(left).unwrap_or(usize::MAX))
+                    });
+                    let Some(points) = counted.map(|p| p as u64) else {
                         return Err(format!(
                             "probe budget exhausted at size {n} ({} of {budget} points spent)",
                             self.points_spent
                         ));
-                    }
+                    };
                     self.points_spent += points;
                     let pi_fn = loom_hyperplane::TimeFn::new(pi.to_vec());
                     match partition(nest.space().clone(), deps.to_vec(), pi_fn.clone(), pcfg) {
@@ -595,8 +598,8 @@ impl ProbeCache {
         );
         let max_proc_flops = {
             let mut per_proc = vec![0u64; num_procs];
-            for (t, &f) in program.task_flops.iter().enumerate() {
-                per_proc[program.proc_of[t] as usize] += f;
+            for &proc in &program.proc_of {
+                per_proc[proc as usize] += program.flops;
             }
             per_proc.into_iter().max().unwrap_or(0) as i128
         };
@@ -1078,20 +1081,15 @@ fn partition_series(
 
 /// `true` iff a validation probe at size `n` (one partitioning plus one
 /// simulation, ≈ 2× the point count) fits in the remaining budget. The
-/// lattice is counted with an early exit at the affordable cap, so an
-/// unaffordable size — say a 10^12-point target — costs O(budget)
-/// iterations, never a full enumeration.
+/// lattice is counted row by row with an early exit at the affordable
+/// cap, so an unaffordable size — say a 10^12-point target — costs at
+/// most O(budget) rows, never a full enumeration.
 fn affordable(family: &dyn Fn(i64) -> LoopNest, n: i64, cache: &ProbeCache, budget: u64) -> bool {
     let cap = budget.saturating_sub(cache.points_spent()) / 2;
-    let nest = family(n);
-    let mut pts = 0u64;
-    for _ in nest.space().points() {
-        pts += 1;
-        if pts > cap {
-            return false;
-        }
-    }
-    true
+    family(n)
+        .space()
+        .count_up_to(usize::try_from(cap).unwrap_or(usize::MAX))
+        .is_some()
 }
 
 /// Oracle-check every fitted component at size `n`. `Ok(false)` means

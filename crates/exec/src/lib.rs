@@ -31,7 +31,7 @@
 //! // Re-execute in hyperplane front order: bit-identical.
 //! let cs = ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap();
 //! let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-//! let order = schedule_order(cs.points(), &sched);
+//! let order = schedule_order(&cs, &sched);
 //! let par = execute_in_order(&w.nest, &cs, &order, &address_hash_init).unwrap();
 //! assert_eq!(equivalent(&par, &serial), Ok(()));
 //! ```

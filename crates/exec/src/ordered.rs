@@ -7,7 +7,6 @@ use loom_hyperplane::Schedule;
 use loom_loopir::{LoopNest, Point};
 use loom_machine::trace::TaskRecord;
 use loom_partition::ComputationalStructure;
-use std::collections::HashMap;
 
 /// A divergence between two executions, or an invalid order.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,7 +47,6 @@ pub fn execute_in_order(
     if order.len() != cs.len() {
         return Err(Divergence::NotAPermutation);
     }
-    let points = cs.points();
     let mut done = vec![false; cs.len()];
     let mut mem = Memory::new();
     for &id in order {
@@ -57,11 +55,11 @@ pub fn execute_in_order(
         }
         if let Some((pid, _)) = cs.predecessors(id).find(|&(pid, _)| !done[pid]) {
             return Err(Divergence::OrderViolation {
-                point: points[id].clone(),
-                predecessor: points[pid].clone(),
+                point: cs.point(id).to_vec(),
+                predecessor: cs.point(pid).to_vec(),
             });
         }
-        execute_iteration(nest, &points[id], &mut mem, init);
+        execute_iteration(nest, cs.point(id), &mut mem, init);
         done[id] = true;
     }
     Ok(mem)
@@ -69,13 +67,13 @@ pub fn execute_in_order(
 
 /// The iteration order induced by a hyperplane schedule: front by front,
 /// points within a front in the order the schedule stores them (any
-/// within-front order is valid — fronts are independent sets).
-pub fn schedule_order(points: &[Point], schedule: &Schedule) -> Vec<usize> {
-    let index: HashMap<&Point, usize> = points.iter().enumerate().map(|(i, p)| (p, i)).collect();
-    let mut order = Vec::with_capacity(points.len());
+/// within-front order is valid — fronts are independent sets), as ids
+/// of `cs`.
+pub fn schedule_order(cs: &ComputationalStructure, schedule: &Schedule) -> Vec<usize> {
+    let mut order = Vec::with_capacity(cs.len());
     for t in 0..schedule.num_steps() {
         for p in schedule.front(t) {
-            if let Some(&id) = index.get(p) {
+            if let Some(id) = cs.id_of(p) {
                 order.push(id);
             }
         }
@@ -140,10 +138,10 @@ mod tests {
     #[test]
     fn schedule_order_matches_sequential() {
         let w = l1();
-        let points: Vec<Point> = w.nest.space().points().collect();
+        let cs = structure(&w);
         let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-        let order = schedule_order(&points, &sched);
-        let par = execute_in_order(&w.nest, &structure(&w), &order, &address_hash_init).unwrap();
+        let order = schedule_order(&cs, &sched);
+        let par = execute_in_order(&w.nest, &cs, &order, &address_hash_init).unwrap();
         let seq = sequential(&w.nest, &address_hash_init);
         assert_eq!(equivalent(&par, &seq), Ok(()));
     }
@@ -152,17 +150,15 @@ mod tests {
     fn reversed_fronts_still_match() {
         // Any order *within* a front is legal; reverse each front.
         let w = l1();
-        let points: Vec<Point> = w.nest.space().points().collect();
+        let cs = structure(&w);
         let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
-        let index: HashMap<&Point, usize> =
-            points.iter().enumerate().map(|(i, p)| (p, i)).collect();
         let mut order = Vec::new();
         for t in 0..sched.num_steps() {
             for p in sched.front(t).iter().rev() {
-                order.push(index[p]);
+                order.push(cs.id_of(p).unwrap());
             }
         }
-        let par = execute_in_order(&w.nest, &structure(&w), &order, &address_hash_init).unwrap();
+        let par = execute_in_order(&w.nest, &cs, &order, &address_hash_init).unwrap();
         assert_eq!(
             equivalent(&par, &sequential(&w.nest, &address_hash_init)),
             Ok(())

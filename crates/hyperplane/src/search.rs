@@ -83,7 +83,7 @@ pub fn find_optimal_with(
         }
     }
 
-    let use_exact = space.count() <= config.exact_eval_limit;
+    let use_exact = space.count_up_to(config.exact_eval_limit).is_some();
     let bbox = space.bounding_box();
 
     let mut best: Option<(i64, i64, Vec<i64>)> = None; // (steps, l1, coeffs)

@@ -80,39 +80,13 @@ impl TimeFn {
     }
 
     /// The smallest and largest step over an index set, or `None` for an
-    /// empty space. Exact for any affine-bounded space; rectangular
-    /// (constant-bound) spaces use a closed form — the extremes of a
-    /// linear `Π·x` over a box decompose per dimension — so sizes whose
-    /// lattice could never be walked still sort in O(dim). Coupled
-    /// bounds fall back to exact enumeration.
+    /// empty space. Exact for any affine-bounded space and computed from
+    /// the loop bounds, never by enumeration: over an innermost row the
+    /// extremes of `Π·x` sit at the row's endpoints, and a rectangular
+    /// space is a single box, so sizes whose lattice could never be
+    /// walked still sort in O(dim).
     pub fn step_range(&self, space: &IterSpace) -> Option<(i64, i64)> {
-        if space.dim() == self.dim()
-            && space.dim() > 0
-            && (0..space.dim())
-                .all(|j| space.lower(j).is_constant() && space.upper(j).is_constant())
-        {
-            let (mut lo_sum, mut hi_sum) = (0i64, 0i64);
-            for j in 0..space.dim() {
-                let lo = space.lower(j).constant_term();
-                let hi = space.upper(j).constant_term();
-                if lo > hi {
-                    return None;
-                }
-                let (a, b) = (self.coeffs[j] * lo, self.coeffs[j] * hi);
-                lo_sum += a.min(b);
-                hi_sum += a.max(b);
-            }
-            return Some((lo_sum, hi_sum));
-        }
-        let mut range: Option<(i64, i64)> = None;
-        for p in space.points() {
-            let t = self.time_of(&p);
-            range = Some(match range {
-                None => (t, t),
-                Some((lo, hi)) => (lo.min(t), hi.max(t)),
-            });
-        }
-        range
+        space.linear_range(&self.coeffs)
     }
 
     /// Number of distinct execution steps (`max − min + 1`) over a space;

@@ -2,6 +2,7 @@
 
 use crate::aff::Aff;
 use crate::{Error, Point};
+use std::ops::ControlFlow;
 
 /// The index set `Jⁿ = {(i₁,…,iₙ) | l_j ≤ i_j ≤ u_j}` of an `n`-nested
 /// loop, where each bound is an affine expression that may reference
@@ -109,9 +110,59 @@ impl IterSpace {
             })
     }
 
-    /// Number of index points (exact enumeration for affine bounds).
+    /// Number of index points, exact for affine bounds. The space is
+    /// walked box by box (see [`count_up_to`](IterSpace::count_up_to)),
+    /// so no point is built. Panics if the count overflows `usize`;
+    /// callers facing unbounded spaces use `count_up_to`.
     pub fn count(&self) -> usize {
-        self.points().count()
+        self.count_up_to(usize::MAX)
+            .expect("iteration space has more than usize::MAX points")
+    }
+
+    /// The number of index points if it is at most `cap`, else `None`.
+    /// The count is summed over the boxes that make up the space (a box
+    /// per innermost row at most; one box for a rectangular space) with
+    /// checked arithmetic and stops as soon as it passes `cap`, so a
+    /// 10^12-point space costs no more than its first few rows.
+    pub fn count_up_to(&self, cap: usize) -> Option<usize> {
+        let mut total = 0usize;
+        let stopped = self.for_each_box(|ranges| {
+            let size = ranges.iter().try_fold(1usize, |acc, &(lo, hi)| {
+                let len = usize::try_from(hi.abs_diff(lo)).ok()?.checked_add(1)?;
+                acc.checked_mul(len)
+            });
+            match size.and_then(|s| total.checked_add(s)) {
+                Some(t) if t <= cap => {
+                    total = t;
+                    ControlFlow::Continue(())
+                }
+                _ => ControlFlow::Break(()),
+            }
+        });
+        (!stopped).then_some(total)
+    }
+
+    /// The smallest and largest value of the linear form `coeffs · x`
+    /// over the space, or `None` if it is empty. Exact for affine
+    /// bounds: over a box the extremes of a linear form sit at the
+    /// box's corners, one coordinate at a time.
+    pub fn linear_range(&self, coeffs: &[i64]) -> Option<(i64, i64)> {
+        assert_eq!(coeffs.len(), self.dim(), "linear_range: arity mismatch");
+        let mut range: Option<(i64, i64)> = None;
+        self.for_each_box(|ranges| {
+            let (mut lo_sum, mut hi_sum) = (0i64, 0i64);
+            for (&a, &(lo, hi)) in coeffs.iter().zip(ranges) {
+                let (x, y) = (a * lo, a * hi);
+                lo_sum += x.min(y);
+                hi_sum += x.max(y);
+            }
+            range = Some(match range {
+                None => (lo_sum, hi_sum),
+                Some((lo, hi)) => (lo.min(lo_sum), hi.max(hi_sum)),
+            });
+            ControlFlow::Continue(())
+        });
+        range
     }
 
     /// Iterate over all index points in lexicographic order.
@@ -123,15 +174,67 @@ impl IterSpace {
     /// space (used by searches that need a finite coordinate range).
     pub fn bounding_box(&self) -> Vec<(i64, i64)> {
         let mut bb: Vec<Option<(i64, i64)>> = vec![None; self.dim()];
-        for p in self.points() {
-            for (j, &x) in p.iter().enumerate() {
-                bb[j] = Some(match bb[j] {
-                    None => (x, x),
-                    Some((lo, hi)) => (lo.min(x), hi.max(x)),
+        self.for_each_box(|ranges| {
+            for (slot, &(lo, hi)) in bb.iter_mut().zip(ranges) {
+                *slot = Some(match *slot {
+                    None => (lo, hi),
+                    Some((a, b)) => (a.min(lo), b.max(hi)),
                 });
             }
-        }
+            ControlFlow::Continue(())
+        });
         bb.into_iter().map(|o| o.unwrap_or((0, -1))).collect()
+    }
+
+    /// Walk the space as a disjoint union of non-empty boxes, calling
+    /// `visit` with each box's inclusive range per loop; returns `true`
+    /// iff `visit` stopped the walk. The innermost loop always
+    /// contributes its whole row. An outer loop `j` contributes its
+    /// whole range too when no inner bound references `i_j` — every
+    /// value of `i_j` then has the same inner rows — and one value per
+    /// box otherwise. A rectangular space is one box; a triangular one
+    /// is a box per row.
+    fn for_each_box(&self, mut visit: impl FnMut(&[(i64, i64)]) -> ControlFlow<()>) -> bool {
+        let n = self.dim();
+        let free: Vec<bool> = (0..n)
+            .map(|j| (j + 1..n).all(|k| self.lo[k].coeff(j) == 0 && self.hi[k].coeff(j) == 0))
+            .collect();
+        let mut probe = vec![0i64; n];
+        let mut ranges = vec![(0i64, 0i64); n];
+        self.boxes_from(0, &free, &mut probe, &mut ranges, &mut visit)
+            .is_break()
+    }
+
+    fn boxes_from<F: FnMut(&[(i64, i64)]) -> ControlFlow<()>>(
+        &self,
+        level: usize,
+        free: &[bool],
+        probe: &mut [i64],
+        ranges: &mut [(i64, i64)],
+        visit: &mut F,
+    ) -> ControlFlow<()> {
+        // Bounds only reference outer indices, already set in `probe`.
+        let lo = self.lo[level].eval(probe);
+        let hi = self.hi[level].eval(probe);
+        if lo > hi {
+            return ControlFlow::Continue(());
+        }
+        let last = level + 1 == probe.len();
+        if free[level] {
+            ranges[level] = (lo, hi);
+            probe[level] = lo;
+            return if last {
+                visit(ranges)
+            } else {
+                self.boxes_from(level + 1, free, probe, ranges, visit)
+            };
+        }
+        for x in lo..=hi {
+            ranges[level] = (x, x);
+            probe[level] = x;
+            self.boxes_from(level + 1, free, probe, ranges, visit)?;
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -298,6 +401,30 @@ mod tests {
         let hi = vec![Aff::constant(n, 3), Aff::constant(n, 5)];
         let s = IterSpace::new(lo, hi).unwrap();
         assert_eq!(s.bounding_box(), vec![(0, 3), (0, 5)]);
+    }
+
+    #[test]
+    fn count_up_to_stops_past_the_cap() {
+        let s = IterSpace::rect(&[4, 5]).unwrap();
+        assert_eq!(s.count_up_to(20), Some(20));
+        assert_eq!(s.count_up_to(19), None);
+        // 2^80 points overflow usize; a rectangular space is one box, so
+        // finding that out walks no rows.
+        let huge = IterSpace::rect(&[1 << 40, 1 << 40]).unwrap();
+        assert_eq!(huge.count_up_to(usize::MAX), None);
+    }
+
+    #[test]
+    fn linear_range_over_triangle() {
+        // for i = 0..=3, for j = i..=5: i − j spans −5..=0, i + 2j 0..=13.
+        let n = 2;
+        let lo = vec![Aff::constant(n, 0), Aff::var(n, 0)];
+        let hi = vec![Aff::constant(n, 3), Aff::constant(n, 5)];
+        let s = IterSpace::new(lo, hi).unwrap();
+        assert_eq!(s.linear_range(&[1, -1]), Some((-5, 0)));
+        assert_eq!(s.linear_range(&[1, 2]), Some((0, 13)));
+        let empty = IterSpace::rect_bounds(&[2], &[1]).unwrap();
+        assert_eq!(empty.linear_range(&[1]), None);
     }
 
     #[test]

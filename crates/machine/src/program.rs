@@ -9,17 +9,13 @@ use loom_partition::Partitioning;
 pub struct Program {
     /// Hyperplane step of each task, used as the dispatch priority.
     pub step_of: Vec<i64>,
-    /// Dependence arcs `(src, dst)` by task id.
+    /// Dependence arcs `(src, dst)` by task id. Each carries
+    /// `SimConfig::words_per_arc` words.
     pub arcs: Vec<(u32, u32)>,
-    /// Words carried per arc, aligned with `arcs` (fine-grain programs
-    /// use 1 and let `SimConfig::words_per_arc` scale it).
-    pub arc_words: Vec<u64>,
     /// Processor of each task.
     pub proc_of: Vec<u32>,
-    /// Per-task flop counts.
-    pub task_flops: Vec<u64>,
-    /// Flops per task for uniform (fine-grain) programs — kept for the
-    /// paper's `2W·t_calc` accounting; equals `task_flops[i]` there.
+    /// Flops of every task (one iteration each — the paper's
+    /// `2W·t_calc` accounting).
     pub flops: u64,
     /// Number of processors.
     pub num_procs: usize,
@@ -67,14 +63,10 @@ impl Program {
         let proc_of: Vec<u32> = (0..cs.len())
             .map(|id| proc_of_block[p.block_of(id)] as u32)
             .collect();
-        let n = step_of.len();
-        let n_arcs = arcs.len();
         Program {
             step_of,
             arcs,
-            arc_words: vec![1; n_arcs],
             proc_of,
-            task_flops: vec![flops; n],
             flops,
             num_procs,
         }
@@ -95,14 +87,10 @@ impl Program {
             "arc endpoint out of range"
         );
         assert!(proc_of.iter().all(|&p| (p as usize) < num_procs));
-        let n = step_of.len();
-        let n_arcs = arcs.len();
         Program {
             step_of,
             arcs,
-            arc_words: vec![1; n_arcs],
             proc_of,
-            task_flops: vec![flops; n],
             flops,
             num_procs,
         }
@@ -115,11 +103,6 @@ impl Program {
             .iter()
             .filter(|&&(a, b)| self.proc_of[a as usize] != self.proc_of[b as usize])
             .count()
-    }
-
-    /// Total flops across all tasks.
-    pub fn total_flops(&self) -> u64 {
-        self.task_flops.iter().sum()
     }
 }
 

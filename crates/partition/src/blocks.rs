@@ -129,7 +129,7 @@ pub fn partition(
         }
     }
     for b in &mut blocks {
-        b.sort_by_key(|&id| pi.time_of(&cs.points()[id]));
+        b.sort_by_key(|&id| pi.time_of(cs.point(id)));
     }
 
     Ok(Partitioning {

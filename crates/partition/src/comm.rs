@@ -42,12 +42,15 @@ pub fn block_graph(p: &Partitioning) -> (CommStats, Tig) {
 }
 
 /// The one arc walk behind [`comm_stats`], [`block_traffic`] and
-/// [`block_graph`].
+/// [`block_graph`]. A block sends to few other blocks (Theorem 2 bounds
+/// the group out-degree by `2m − β`), so each source block keeps a short
+/// list of `(destination, arcs)` and the map is built once per block
+/// pair, not touched once per arc.
 fn census(p: &Partitioning) -> (CommStats, BTreeMap<(usize, usize), u64>) {
     let cs = p.structure();
     let mut total = 0;
     let mut inter = 0;
-    let mut traffic = BTreeMap::new();
+    let mut sends: Vec<Vec<(usize, u64)>> = vec![Vec::new(); p.num_blocks()];
     for id in 0..cs.len() {
         let a = p.block_of(id);
         for (succ, _dep) in cs.successors(id) {
@@ -55,10 +58,18 @@ fn census(p: &Partitioning) -> (CommStats, BTreeMap<(usize, usize), u64>) {
             let b = p.block_of(succ);
             if a != b {
                 inter += 1;
-                *traffic.entry((a, b)).or_insert(0u64) += 1;
+                match sends[a].iter_mut().find(|(to, _)| *to == b) {
+                    Some((_, arcs)) => *arcs += 1,
+                    None => sends[a].push((b, 1)),
+                }
             }
         }
     }
+    let traffic = sends
+        .into_iter()
+        .enumerate()
+        .flat_map(|(a, list)| list.into_iter().map(move |(b, arcs)| ((a, b), arcs)))
+        .collect();
     let stats = CommStats {
         total_arcs: total,
         interblock_arcs: inter,

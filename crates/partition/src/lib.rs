@@ -47,6 +47,7 @@ pub mod comm;
 pub mod grouping;
 pub mod grow;
 pub mod laws;
+pub mod points;
 pub mod project;
 pub mod tig;
 
@@ -54,6 +55,7 @@ pub use blocks::{partition, PartitionConfig, Partitioning};
 pub use comm::CommStats;
 pub use grouping::GroupingVectors;
 pub use grow::Grouping;
+pub use points::Points;
 pub use project::{ComputationalStructure, ProjectedStructure};
 pub use tig::Tig;
 
@@ -64,6 +66,13 @@ pub enum Error {
     IllegalTimeFn(loom_hyperplane::Error),
     /// The iteration space contains no points.
     EmptySpace,
+    /// The iteration space is too large to enumerate: its point count
+    /// overflows `usize` (`points: None`) or its coordinates cannot be
+    /// allocated.
+    TooLarge {
+        /// The exact point count, when it fits in `usize`.
+        points: Option<usize>,
+    },
     /// A requested grouping-vector override does not achieve the maximal
     /// multiplier `r` (Algorithm 1 requires the grouping vector to have
     /// `r_l = r`).
@@ -98,6 +107,14 @@ impl std::fmt::Display for Error {
         match self {
             Error::IllegalTimeFn(e) => write!(f, "illegal time function: {e}"),
             Error::EmptySpace => write!(f, "iteration space is empty"),
+            Error::TooLarge { points: Some(n) } => {
+                write!(f, "iteration space too large to enumerate ({n} points)")
+            }
+            Error::TooLarge { points: None } => write!(
+                f,
+                "iteration space too large to enumerate (more than {} points)",
+                usize::MAX
+            ),
             Error::InvalidGroupingChoice {
                 requested,
                 r_requested,

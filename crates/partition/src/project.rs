@@ -1,37 +1,34 @@
 //! The projection phase: `Q = (V, D)` → `Q^p = (V^p, D^p)`.
 
+use crate::points::{Lattice, Points};
 use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
+use loom_rational::int::gcd_all;
 use loom_rational::QVec;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The computational structure `Q = (V, D)` of a nested loop
 /// (Definition 2): the enumerated index set plus the dependence vectors.
+/// Points are stored flat in lexicographic order, so a point's id is its
+/// lexicographic rank, and [`id_of`](ComputationalStructure::id_of)
+/// inverts it from the loop bounds without hashing.
 #[derive(Clone, Debug)]
 pub struct ComputationalStructure {
     space: IterSpace,
-    points: Vec<Point>,
-    index: HashMap<Point, usize>,
+    lattice: Lattice,
     deps: Vec<Point>,
 }
 
 impl ComputationalStructure {
-    /// Enumerate a space and attach its dependence set.
+    /// Enumerate a space and attach its dependence set. A space whose
+    /// point count overflows `usize` or whose coordinates cannot be
+    /// allocated is [`Error::TooLarge`].
     pub fn new(space: IterSpace, deps: Vec<Point>) -> Result<ComputationalStructure, Error> {
-        let points: Vec<Point> = space.points().collect();
-        if points.is_empty() {
-            return Err(Error::EmptySpace);
-        }
-        let index = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i))
-            .collect();
+        let lattice = Lattice::new(&space)?;
         Ok(ComputationalStructure {
             space,
-            points,
-            index,
+            lattice,
             deps,
         })
     }
@@ -42,9 +39,14 @@ impl ComputationalStructure {
     }
 
     /// All index points, in lexicographic order; a point's position in
-    /// this slice is its id.
-    pub fn points(&self) -> &[Point] {
-        &self.points
+    /// this view is its id.
+    pub fn points(&self) -> Points<'_> {
+        self.lattice.points()
+    }
+
+    /// Coordinates of point `id`.
+    pub fn point(&self, id: usize) -> &[i64] {
+        self.lattice.point(id)
     }
 
     /// The dependence set `D`.
@@ -54,17 +56,20 @@ impl ComputationalStructure {
 
     /// Number of iteration points `|V|`.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.lattice.len()
     }
 
     /// `true` iff there are no points (never true for a constructed value).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len() == 0
     }
 
     /// Id of an index point, if it belongs to `V`.
     pub fn id_of(&self, p: &[i64]) -> Option<usize> {
-        self.index.get(p).copied()
+        if p.len() != self.space.dim() {
+            return None;
+        }
+        self.lattice.rank(|j| Some(p[j]))
     }
 
     /// The dependence arcs leaving point `id` (Definition 2: `p → p + d`
@@ -84,23 +89,24 @@ impl ComputationalStructure {
         self.arcs(id, -1)
     }
 
-    /// The neighbours `p + sign·d` of point `id` that lie in `V`. The
-    /// neighbour is built in a stack buffer, so the walk allocates only
-    /// for nests deeper than [`INLINE_DIM`].
+    /// The neighbours `p + sign·d` of point `id` that lie in `V`, looked
+    /// up coordinate by coordinate in the rank index; nothing is built
+    /// or allocated.
     fn arcs(&self, id: usize, sign: i64) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let p = &self.points[id][..];
-        let mut inline = [0i64; INLINE_DIM];
-        let mut spill = vec![0; if p.len() > INLINE_DIM { p.len() } else { 0 }];
+        let p = self.point(id);
         self.deps.iter().enumerate().filter_map(move |(k, d)| {
-            let q = if p.len() > INLINE_DIM {
-                &mut spill[..]
-            } else {
-                &mut inline[..p.len()]
-            };
-            for ((out, &a), &b) in q.iter_mut().zip(p).zip(d) {
-                *out = a + sign * b;
+            if d.len() != p.len() {
+                return None;
             }
-            self.index.get(&q[..]).map(|&qid| (qid, k))
+            self.lattice
+                .rank(|j| {
+                    if sign > 0 {
+                        p[j].checked_add(d[j])
+                    } else {
+                        p[j].checked_sub(d[j])
+                    }
+                })
+                .map(|q| (q, k))
         })
     }
 
@@ -110,8 +116,18 @@ impl ComputationalStructure {
     }
 }
 
-/// Nest depth up to which arc walks build neighbour points on the stack.
-const INLINE_DIM: usize = 8;
+/// The primitive step `u = Π / gcd(Π)` between consecutive lattice points
+/// on a projection line, signed so that its first nonzero coordinate is
+/// positive: `p + u` is then lexicographically after `p`.
+pub(crate) fn line_step(pi: &[i64]) -> Vec<i64> {
+    let g = gcd_all(pi);
+    assert!(g != 0, "zero time function");
+    let sign = match pi.iter().find(|&&a| a != 0) {
+        Some(&a) if a < 0 => -1,
+        _ => 1,
+    };
+    pi.iter().map(|&a| sign * (a / g)).collect()
+}
 
 /// The projected structure `Q^p = (V^p, D^p)` (Definition 5): the images
 /// of `V` and `D` on the zero-hyperplane `Π·x = 0`.
@@ -120,8 +136,10 @@ pub struct ProjectedStructure {
     pi: TimeFn,
     proj_points: Vec<QVec>,
     proj_index: BTreeMap<QVec, usize>,
-    /// Original point ids on each projection line, sorted by execution step.
-    members: Vec<Vec<usize>>,
+    /// Original point ids of projection line `pid`, sorted by execution
+    /// step, at `members[line_start[pid]..line_start[pid + 1]]`.
+    line_start: Vec<usize>,
+    members: Vec<usize>,
     proj_deps: Vec<QVec>,
 }
 
@@ -130,40 +148,52 @@ impl ProjectedStructure {
     /// `cs.deps()`; legality is the caller's responsibility and checked by
     /// [`crate::partition`]).
     ///
-    /// Implementation note: grouping points into projection lines uses
-    /// the *scaled integer* projection `p·(Π·Π) − (p·Π)·Π ∈ ℤⁿ`, which
-    /// identifies the same lines as the exact rational projection
-    /// (`(Π·Π)` is a positive constant factor) without allocating a
-    /// rational vector per iteration point; the rational coordinates are
-    /// materialized once per distinct line.
+    /// Implementation note: the lattice points of one projection line are
+    /// `p + k·u` for the step `u` of [`line_step`]. `V` is the set of
+    /// lattice points of a convex polyhedron (the loop bounds are affine),
+    /// so each line meets it in a contiguous run of `k`. Walking the
+    /// points in id (lexicographic) order, a point therefore opens a new
+    /// line iff `p − u ∉ V`, and otherwise joins the line of `p − u`,
+    /// which has a smaller id. Projected-point ids follow first
+    /// appearance, and members come out in lexicographic order, which on
+    /// a line is execution-step order when `Π·u > 0` and its reverse when
+    /// Π is lexicographically negative. The rational coordinates are
+    /// materialized once per line.
     pub fn project(cs: &ComputationalStructure, pi: &TimeFn) -> ProjectedStructure {
         let pi_q = pi.as_qvec();
-        let pi_coeffs = pi.coeffs();
-        let pi_sq: i64 = pi_coeffs.iter().map(|&a| a * a).sum();
-        assert!(pi_sq > 0, "zero time function");
-
-        let mut scaled_index: HashMap<Vec<i64>, usize> = HashMap::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        // Assign projected-point ids in order of first appearance, then
-        // re-sort members by time below.
+        let u = line_step(pi.coeffs());
         let mut proj_points: Vec<QVec> = Vec::new();
-        let mut scaled = vec![0i64; cs.space().dim()];
-        for (id, p) in cs.points().iter().enumerate() {
-            let t = pi.time_of(p);
-            for (k, out) in scaled.iter_mut().enumerate() {
-                *out = p[k]
-                    .checked_mul(pi_sq)
-                    .and_then(|x| x.checked_sub(t * pi_coeffs[k]))
-                    .expect("scaled projection overflow");
-            }
-            match scaled_index.get(&scaled) {
-                Some(&pid) => members[pid].push(id),
+        let mut line_of = vec![0usize; cs.len()];
+        let mut line_len: Vec<usize> = Vec::new();
+        for id in 0..cs.len() {
+            let p = cs.point(id);
+            let pid = match cs.lattice.rank(|j| p[j].checked_sub(u[j])) {
+                Some(prev) => line_of[prev],
                 None => {
-                    let pid = proj_points.len();
-                    scaled_index.insert(scaled.clone(), pid);
                     proj_points.push(QVec::from_ints(p).project(&pi_q));
-                    members.push(vec![id]);
+                    line_len.push(0);
+                    proj_points.len() - 1
                 }
+            };
+            line_of[id] = pid;
+            line_len[pid] += 1;
+        }
+        let line_start: Vec<usize> = std::iter::once(0)
+            .chain(line_len.iter().scan(0, |end, &len| {
+                *end += len;
+                Some(*end)
+            }))
+            .collect();
+        let mut next = line_start.clone();
+        let mut members = vec![0usize; cs.len()];
+        for (id, &pid) in line_of.iter().enumerate() {
+            members[next[pid]] = id;
+            next[pid] += 1;
+        }
+        if pi.dot(&u) < 0 {
+            // Π is lexicographically negative: steps fall along `u`.
+            for w in line_start.windows(2) {
+                members[w[0]..w[1]].reverse();
             }
         }
         let proj_index: BTreeMap<QVec, usize> = proj_points
@@ -171,9 +201,6 @@ impl ProjectedStructure {
             .enumerate()
             .map(|(pid, q)| (q.clone(), pid))
             .collect();
-        for m in &mut members {
-            m.sort_by_key(|&id| pi.time_of(&cs.points()[id]));
-        }
         let proj_deps = cs
             .deps()
             .iter()
@@ -183,6 +210,7 @@ impl ProjectedStructure {
             pi: pi.clone(),
             proj_points,
             proj_index,
+            line_start,
             members,
             proj_deps,
         }
@@ -217,7 +245,7 @@ impl ProjectedStructure {
     /// Original point ids lying on the projection line of projected point
     /// `pid`, sorted by execution step.
     pub fn line_members(&self, pid: usize) -> &[usize] {
-        &self.members[pid]
+        &self.members[self.line_start[pid]..self.line_start[pid + 1]]
     }
 
     /// The projected dependence vectors `D^p`, aligned index-for-index
@@ -347,8 +375,8 @@ mod tests {
 
     #[test]
     fn arcs_beyond_inline_dims_match_inline_walk() {
-        // A 9-deep nest takes the heap-buffer path; its arcs must be the
-        // same relation as in the equivalent 2-deep nest.
+        // A 9-deep nest with seven unit loops has the same arcs as the
+        // equivalent 2-deep nest.
         let mut extents = vec![1; 9];
         extents[0] = 3;
         extents[8] = 3;
@@ -366,6 +394,34 @@ mod tests {
             assert_eq!(p, flat.predecessors(id).collect::<Vec<_>>());
         }
         assert_eq!(wide.num_arcs(), 4);
+    }
+
+    #[test]
+    fn line_step_is_primitive_and_lexicographically_positive() {
+        assert_eq!(line_step(&[1, 1]), vec![1, 1]);
+        assert_eq!(line_step(&[2, 2]), vec![1, 1]);
+        assert_eq!(line_step(&[0, -1]), vec![0, 1]);
+        assert_eq!(line_step(&[-2, 4, 6]), vec![1, -2, -3]);
+        assert_eq!(line_step(&[2, 1, 1]), vec![2, 1, 1]);
+    }
+
+    #[test]
+    fn oversized_space_is_an_error_not_an_abort() {
+        // The point count overflows usize.
+        let huge = IterSpace::rect(&[i64::MAX, i64::MAX]).unwrap();
+        assert_eq!(
+            ComputationalStructure::new(huge, vec![]).unwrap_err(),
+            Error::TooLarge { points: None }
+        );
+        // 2^60 points fit in usize, but their coordinates cannot be
+        // allocated.
+        let wide = IterSpace::rect(&[1 << 40, 1 << 20]).unwrap();
+        assert_eq!(
+            ComputationalStructure::new(wide, vec![]).unwrap_err(),
+            Error::TooLarge {
+                points: Some(1 << 60)
+            }
+        );
     }
 
     #[test]

@@ -1,11 +1,22 @@
-//! Differential test of the dependence-arc walk: the
-//! `ComputationalStructure::{successors, predecessors}` sequences, and
-//! the communication statistics and TIG the pipeline derives from them,
-//! against a brute-force oracle that tests `IterSpace::contains` for
-//! every point and every dependence vector.
+//! Differential tests of the point graph against enumeration oracles:
+//!
+//! * the dependence-arc walk — the
+//!   `ComputationalStructure::{successors, predecessors}` sequences, and
+//!   the communication statistics and TIG the pipeline derives from
+//!   them — against a brute-force oracle that tests
+//!   `IterSpace::contains` for every point and every dependence vector;
+//! * the rank index behind `ComputationalStructure::id_of` against
+//!   `PointIter` positions and `IterSpace::contains`;
+//! * the row-wise `IterSpace::{count, count_up_to, bounding_box}` and
+//!   `TimeFn::step_range` against enumeration;
+//! * the projection lines found by `p − u` lookups against grouping by
+//!   the scaled integer projection.
 
 use loom_core::{Pipeline, PipelineConfig, PipelineOutput};
-use loom_loopir::{parse_nest, LoopNest, Point};
+use loom_hyperplane::TimeFn;
+use loom_loopir::{parse_nest, Aff, IterSpace, LoopNest, Point};
+use loom_partition::{ComputationalStructure, ProjectedStructure};
+use loom_rational::QVec;
 use std::collections::{BTreeMap, HashMap};
 
 fn read_sample(name: &str) -> LoopNest {
@@ -103,5 +114,186 @@ fn arc_walk_matches_brute_force_oracle() {
         assert_eq!(out.tig.total_traffic(), interblock, "{name}");
         let tig: BTreeMap<(usize, usize), u64> = out.tig.edges().collect();
         assert_eq!(tig, traffic, "{name}: TIG edges");
+    }
+}
+
+/// The spaces the rank index, the row walks and the projection lines
+/// are checked on: every nest above; `for i in 0..=2, j in i..=1`,
+/// whose last row is empty; a 3-deep wedge whose middle and inner
+/// loops run empty; and a 9-deep nest.
+fn spaces() -> Vec<(String, IterSpace)> {
+    let mut out: Vec<(String, IterSpace)> = nests()
+        .into_iter()
+        .map(|n| (n.name().to_string(), n.space().clone()))
+        .collect();
+    let empty_row = IterSpace::new(
+        vec![Aff::constant(2, 0), Aff::var(2, 0)],
+        vec![Aff::constant(2, 2), Aff::constant(2, 1)],
+    )
+    .unwrap();
+    out.push(("empty_row".into(), empty_row));
+    // for i in 0..=3, j in i..=2, k in i+j−1..=1
+    let wedge = IterSpace::new(
+        vec![
+            Aff::constant(3, 0),
+            Aff::var(3, 0),
+            Aff::new(vec![1, 1, 0], -1),
+        ],
+        vec![
+            Aff::constant(3, 3),
+            Aff::constant(3, 2),
+            Aff::constant(3, 1),
+        ],
+    )
+    .unwrap();
+    out.push(("wedge".into(), wedge));
+    let mut extents = vec![1; 9];
+    extents[0] = 3;
+    extents[8] = 3;
+    out.push(("deep9".into(), IterSpace::rect(&extents).unwrap()));
+    out
+}
+
+/// Time functions of every sign pattern the projection must handle:
+/// the wavefront, one with gcd 2, one whose first nonzero coefficient
+/// is negative, and a skew (heat2d's `(2,1,1)` in three dimensions).
+fn time_fns(n: usize) -> Vec<Vec<i64>> {
+    let mut last_negative = vec![0; n];
+    last_negative[n - 1] = -1;
+    let mut skew = vec![1; n];
+    skew[0] = 2;
+    vec![vec![1; n], vec![2; n], last_negative, skew]
+}
+
+fn dot(p: &[i64], pi: &[i64]) -> i64 {
+    p.iter().zip(pi).map(|(&x, &a)| x * a).sum()
+}
+
+/// Per-coordinate `[min, max]` over a non-empty point list.
+fn enumerated_box(points: &[Point]) -> Vec<(i64, i64)> {
+    (0..points[0].len())
+        .map(|j| {
+            let xs = points.iter().map(|p| p[j]);
+            (xs.clone().min().unwrap(), xs.max().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn rank_index_matches_enumeration_and_contains() {
+    for (name, space) in spaces() {
+        let points: Vec<Point> = space.points().collect();
+        let cs = ComputationalStructure::new(space.clone(), vec![]).unwrap();
+        assert_eq!(cs.points(), &points[..], "{name}: point ids");
+        let ids: HashMap<&Point, usize> = points.iter().enumerate().map(|(i, p)| (p, i)).collect();
+        // Every lattice point of the bounding box grown by one in each
+        // direction: inside points map to their position, others to None.
+        let grown: Vec<(i64, i64)> = enumerated_box(&points)
+            .into_iter()
+            .map(|(lo, hi)| (lo - 1, hi + 1))
+            .collect();
+        let mut q: Vec<i64> = grown.iter().map(|&(lo, _)| lo).collect();
+        let mut probed = 0usize;
+        'cells: loop {
+            let expected = space.contains(&q).then(|| ids[&q]);
+            assert_eq!(cs.id_of(&q), expected, "{name} {q:?}");
+            probed += 1;
+            for j in (0..q.len()).rev() {
+                if q[j] < grown[j].1 {
+                    q[j] += 1;
+                    q[j + 1..]
+                        .iter_mut()
+                        .zip(&grown[j + 1..])
+                        .for_each(|(x, &(lo, _))| *x = lo);
+                    continue 'cells;
+                }
+            }
+            break;
+        }
+        assert!(probed > points.len(), "{name}: probed only {probed} cells");
+        assert_eq!(cs.id_of(&points[0][1..]), None, "{name}: wrong arity");
+    }
+}
+
+#[test]
+fn row_walks_match_enumeration() {
+    for (name, space) in spaces() {
+        let points: Vec<Point> = space.points().collect();
+        let n = points.len();
+        assert_eq!(space.count(), n, "{name}");
+        for cap in [0, n - 1, n, n + 1, usize::MAX] {
+            assert_eq!(
+                space.count_up_to(cap),
+                (n <= cap).then_some(n),
+                "{name} cap {cap}"
+            );
+        }
+        assert_eq!(space.bounding_box(), enumerated_box(&points), "{name}");
+        for pi in time_fns(space.dim()) {
+            let steps = points.iter().map(|p| dot(p, &pi));
+            let expected = steps.clone().min().zip(steps.max());
+            assert_eq!(
+                TimeFn::new(pi.clone()).step_range(&space),
+                expected,
+                "{name} Π={pi:?}"
+            );
+        }
+    }
+    // A space with no points at all: every row is empty.
+    let empty = IterSpace::new(
+        vec![Aff::constant(2, 0), Aff::var(2, 0) + 3],
+        vec![Aff::constant(2, 2), Aff::constant(2, 1)],
+    )
+    .unwrap();
+    assert_eq!(empty.points().count(), 0);
+    assert_eq!((empty.count(), empty.count_up_to(0)), (0, Some(0)));
+    assert_eq!(empty.bounding_box(), vec![(0, -1), (0, -1)]);
+    assert_eq!(TimeFn::new(vec![1, 1]).step_range(&empty), None);
+}
+
+/// The projection lines as grouping by the scaled integer projection
+/// `p·(Π·Π) − (p·Π)·Π` finds them: line ids in order of first
+/// appearance over the points in id order, members sorted by step.
+fn scaled_projection_lines(points: &[Point], pi: &[i64]) -> Vec<Vec<usize>> {
+    let pi_sq: i64 = pi.iter().map(|&a| a * a).sum();
+    let mut index: HashMap<Vec<i64>, usize> = HashMap::new();
+    let mut lines: Vec<Vec<usize>> = Vec::new();
+    for (id, p) in points.iter().enumerate() {
+        let t = dot(p, pi);
+        let key: Vec<i64> = p.iter().zip(pi).map(|(&x, &a)| x * pi_sq - t * a).collect();
+        let pid = *index.entry(key).or_insert_with(|| {
+            lines.push(Vec::new());
+            lines.len() - 1
+        });
+        lines[pid].push(id);
+    }
+    for members in &mut lines {
+        members.sort_by_key(|&id| dot(&points[id], pi));
+    }
+    lines
+}
+
+#[test]
+fn projection_lines_match_scaled_projection_oracle() {
+    for (name, space) in spaces() {
+        let points: Vec<Point> = space.points().collect();
+        let dim = space.dim();
+        let cs = ComputationalStructure::new(space, vec![]).unwrap();
+        for pi in time_fns(dim) {
+            let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi.clone()));
+            let oracle = scaled_projection_lines(&points, &pi);
+            assert_eq!(qp.len(), oracle.len(), "{name} Π={pi:?}: line count");
+            let pi_q = QVec::from_ints(&pi);
+            for (pid, members) in oracle.iter().enumerate() {
+                assert_eq!(
+                    qp.line_members(pid),
+                    &members[..],
+                    "{name} Π={pi:?} line {pid}"
+                );
+                let image = QVec::from_ints(&points[members[0]]).project(&pi_q);
+                assert_eq!(qp.points()[pid], image, "{name} Π={pi:?} line {pid}");
+                assert_eq!(qp.id_of(&image), Some(pid), "{name} Π={pi:?} line {pid}");
+            }
+        }
     }
 }

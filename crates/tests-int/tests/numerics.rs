@@ -46,7 +46,7 @@ fn hyperplane_schedule_order_reproduces_sequential_results() {
     for w in loom_workloads::all_default() {
         let sched = Schedule::build(TimeFn::new(w.pi.clone()), w.nest.space());
         let cs = ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap();
-        let order = schedule_order(cs.points(), &sched);
+        let order = schedule_order(&cs, &sched);
         let parallel = execute_in_order(&w.nest, &cs, &order, &address_hash_init)
             .unwrap_or_else(|e| panic!("{}: bad order {e:?}", w.nest.name()));
         let serial = sequential(&w.nest, &address_hash_init);

@@ -76,7 +76,7 @@ fn random_pi_legality_matches_exec_oracle() {
         let cs = ComputationalStructure::new(w.nest.space().clone(), w.deps.clone()).unwrap();
         let points = cs.points();
         let mut order: Vec<usize> = (0..points.len()).collect();
-        order.sort_by_key(|&i| (pi.time_of(&points[i]), points[i].clone()));
+        order.sort_by_key(|&i| (pi.time_of(&points[i]), points[i].to_vec()));
         let result = execute_in_order(&w.nest, &cs, &order, &address_hash_init);
         if legal {
             accepted += 1;

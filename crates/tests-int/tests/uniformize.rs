@@ -138,7 +138,7 @@ fn folded_schedule_execution_matches_sequential_oracle() {
             assert!(pi.is_legal_for(&u.vectors), "{}", nest.name());
             let sched = Schedule::build(pi, nest.space());
             let cs = ComputationalStructure::new(nest.space().clone(), u.vectors.clone()).unwrap();
-            let order = schedule_order(cs.points(), &sched);
+            let order = schedule_order(&cs, &sched);
             let parallel = execute_in_order(&nest, &cs, &order, &address_hash_init)
                 .unwrap_or_else(|e| panic!("{}: bad order {e:?}", nest.name()));
             let serial = sequential(&nest, &address_hash_init);
@@ -202,7 +202,7 @@ fn vardist_samples_run_the_pipeline_and_match_the_oracle() {
         assert!(!out.deps.is_empty(), "{sample}: empty folded D");
         assert!(out.pi.is_legal_for(&out.deps), "{sample}");
         let sched = Schedule::build(out.pi.clone(), nest.space());
-        let order = schedule_order(out.partitioning.structure().points(), &sched);
+        let order = schedule_order(out.partitioning.structure(), &sched);
         let parallel = execute_in_order(
             &nest,
             out.partitioning.structure(),
