@@ -12,8 +12,8 @@ fn main() {
 
     println!("Fig. 3 — projected structure of L1 with Π = (1,1)\n");
     println!("projected dependence vectors:");
-    for (i, d) in qp.deps().iter().enumerate() {
-        println!("  {:?} -> {d}", p.structure().deps()[i]);
+    for i in 0..qp.num_deps() {
+        println!("  {:?} -> {}", p.structure().deps()[i], qp.dep_q(i));
     }
     println!();
 
@@ -25,7 +25,7 @@ fn main() {
             .map(|&id| format!("{:?}", p.structure().point(id)))
             .collect();
         t.row([
-            qp.points()[pid].to_string(),
+            qp.point_q(pid).to_string(),
             members.join(" "),
             format!("G{}", p.grouping().group_of[pid]),
         ]);

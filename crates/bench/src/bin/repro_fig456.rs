@@ -19,8 +19,8 @@ fn main() {
         qp.len()
     );
     println!("projected dependence vectors:");
-    for (i, d) in qp.deps().iter().enumerate() {
-        let r = d.least_integer_multiplier();
+    for i in 0..qp.num_deps() {
+        let (d, r) = (qp.dep_q(i), qp.multiplier(i));
         println!("  {:?} -> {d}   (r_i = {r})", p.structure().deps()[i]);
     }
     let gv = p.vectors();
@@ -38,11 +38,11 @@ fn main() {
         let members: Vec<String> = group
             .members
             .iter()
-            .map(|&pid| qp.points()[pid].to_string())
+            .map(|&pid| qp.point_q(pid).to_string())
             .collect();
         t.row([
             format!("G{g}"),
-            group.base.to_string(),
+            qp.unscale(&group.base).to_string(),
             members.join(" "),
             format!("{}", p.block(g).len()),
         ]);

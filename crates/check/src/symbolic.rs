@@ -123,7 +123,7 @@ pub fn check_lemma1_symbolic(p: &Partitioning, stats: &mut SymbolicStats) -> Vec
 }
 
 /// Symbolic Lemma 1 over explicit groups of projection-line ids
-/// (indices into `p.projected().points()`) — lets tests hand in
+/// (projected-point ids of `p.projected()`) — lets tests hand in
 /// deliberately merged groups, mirroring [`crate::check_lemma1`].
 ///
 /// Points on a *single* line never collide (`x − y = λΠ` implies
@@ -138,21 +138,36 @@ pub fn check_lemma1_symbolic_groups(
     let space = cs.space();
     let pi = p.time_fn();
     let piq = pi.as_qvec();
+    let scale = i128::from(qp.scale());
     let mut out = Vec::new();
 
     for (gid, members) in groups.iter().enumerate() {
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
-                let delta_q = &qp.points()[a] - &qp.points()[b];
-                if !delta_q.is_integral() {
-                    // Colliding points of lines a and b would differ by
-                    // exactly this vector; it is not integral, so no
-                    // integer points collide for ANY bounds.
+                // Colliding points of lines a and b would differ by
+                // exactly q_a − q_b (scaled: by s·(q_a − q_b)).
+                let scaled: Vec<i128> = qp
+                    .point(a)
+                    .iter()
+                    .zip(qp.point(b))
+                    .map(|(&x, &y)| i128::from(x) - i128::from(y))
+                    .collect();
+                if scaled.iter().any(|&c| c % scale != 0) {
+                    // Not integral, so no integer points collide for ANY
+                    // bounds.
                     stats.lattice_proofs += 1;
                     continue;
                 }
-                let delta = delta_q.to_ints().expect("integral checked");
-                match collision_system(space, pi, &qp.points()[a], &delta).map(|s| s.solve()) {
+                let delta: Point = match scaled.iter().map(|&c| i64::try_from(c / scale)).collect()
+                {
+                    Ok(delta) => delta,
+                    Err(_) => {
+                        stats.enumerated += 1;
+                        out.extend(enumerate_line_pair(p, gid, a, b));
+                        continue;
+                    }
+                };
+                match collision_system(space, pi, qp.point(a), &delta).map(|s| s.solve()) {
                     Some(Verdict::Unsat) => stats.fm_decided += 1,
                     Some(Verdict::Sat(x)) => {
                         stats.fm_decided += 1;
@@ -184,9 +199,10 @@ fn shared_step(gid: usize, a: Point, b: Point, t: Ratio) -> Diagnostic {
 
 /// The integer system "some `x` on line `u` collides with `x − δ`":
 /// affine space bounds for both points plus the scaled line-membership
-/// equalities `|Π|²·x_j − π_j·(Π·x) = |Π|²·u_j`. Returns `None` when
+/// equalities `|Π|²·x_j − π_j·(Π·x) = |Π|²·u_j`, with `u` given scaled
+/// (`|Π|²·u`, as the projected structure stores it). Returns `None` when
 /// the constraint coefficients overflow `i64` (callers enumerate).
-fn collision_system(space: &IterSpace, pi: &TimeFn, u: &QVec, delta: &[i64]) -> Option<System> {
+fn collision_system(space: &IterSpace, pi: &TimeFn, u: &[i64], delta: &[i64]) -> Option<System> {
     let n = space.dim();
     let picf = pi.coeffs();
     let pi_sq: i64 = {
@@ -232,8 +248,7 @@ fn collision_system(space: &IterSpace, pi: &TimeFn, u: &QVec, delta: &[i64]) -> 
     }
 
     // Line membership: |Π|²·x_j − π_j·(Π·x) = |Π|²·u_j for every j.
-    for j in 0..n {
-        let key = (u[j] * Ratio::int(pi_sq)).to_integer()?;
+    for (j, &key) in u.iter().enumerate() {
         let mut coeffs = vec![0i64; n];
         for k in 0..n {
             let cross = picf[j].checked_mul(picf[k])?;
@@ -674,10 +689,9 @@ fn derive_traffic(p: &Partitioning) -> BlockTraffic {
     let mut min_lag: BTreeMap<(usize, usize), i64> = BTreeMap::new();
     let mut summaries = 0u64;
     for k in qp.nonzero_dep_indices() {
-        let dq = &qp.deps()[k];
         let w = pi.dot(&cs.deps()[k]);
         for pid in 0..qp.len() {
-            let Some(qid) = qp.id_of(&(&qp.points()[pid] + dq)) else {
+            let Some(qid) = qp.neighbor(pid, k) else {
                 // No point of this line has its successor in the space.
                 continue;
             };

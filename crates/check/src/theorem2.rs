@@ -23,7 +23,7 @@ fn projected_rank(qp: &ProjectedStructure) -> usize {
     let cols: Vec<QVec> = qp
         .nonzero_dep_indices()
         .into_iter()
-        .map(|i| qp.deps()[i].clone())
+        .map(|i| qp.dep_q(i))
         .collect();
     if cols.is_empty() {
         0
@@ -65,7 +65,7 @@ pub fn check_neighbor_bound(graph: &[BTreeSet<usize>], m: usize, beta: usize) ->
 /// projected structure it was derived from.
 pub fn check_grouping_vectors(qp: &ProjectedStructure, gv: &GroupingVectors) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let ndeps = qp.deps().len();
+    let ndeps = qp.num_deps();
     for i in gv.omega() {
         if i >= ndeps {
             out.push(Diagnostic::error(
@@ -122,7 +122,7 @@ pub fn check_grouping_vectors(qp: &ProjectedStructure, gv: &GroupingVectors) -> 
             }
             let chosen: Vec<QVec> = std::iter::once(g)
                 .chain(gv.auxiliary.iter().copied())
-                .map(|i| qp.deps()[i].clone())
+                .map(|i| qp.dep_q(i))
                 .collect();
             if !linalg::independent(&chosen) {
                 out.push(Diagnostic::error(
@@ -191,7 +191,7 @@ mod tests {
             vec![vec![0, 1, 0], vec![1, 0, 0], vec![0, 0, 1]],
         )
         .unwrap();
-        let qp = ProjectedStructure::project(&cs, &TimeFn::wavefront(3));
+        let qp = ProjectedStructure::project(&cs, &TimeFn::wavefront(3)).unwrap();
         let real = loom_partition::grouping::select_vectors(&qp, None).unwrap();
         let gv = GroupingVectors {
             auxiliary: Vec::new(),

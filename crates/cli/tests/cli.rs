@@ -430,3 +430,28 @@ fn oversized_space_fails_with_exit_one() {
     assert!(err.contains("too large to enumerate"), "{err}");
     assert!(err.contains("explore --symbolic"), "{err}");
 }
+
+#[test]
+fn projection_overflow_fails_with_exit_one() {
+    // |Π|²·x leaves i64 for x ≥ 2: the projection must stop with a typed
+    // error naming Π, not panic in rational normalisation.
+    for cmd in ["partition", "simulate", "check"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+            .args([
+                cmd,
+                "--workload",
+                "matvec",
+                "--size",
+                "8",
+                "--pi",
+                "3000000000,5",
+            ])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+        assert_eq!(out.status.code(), Some(1), "{cmd} {:?}: {err}", out.status);
+        assert!(err.contains("\u{3a0} = (3000000000,5)"), "{cmd}: {err}");
+        assert!(err.contains("overflows"), "{cmd}: {err}");
+    }
+}

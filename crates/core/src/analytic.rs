@@ -238,27 +238,28 @@ pub fn makespan_lower_bound_with(
     if !steps_advance {
         return work;
     }
-    let mut incoming: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-    for &(u, v) in &program.arcs {
-        let delay = if program.proc_of[u as usize] == program.proc_of[v as usize] {
-            0
-        } else {
-            params.send_occupancy(words_per_arc) + params.t_recv
-        };
-        incoming[v as usize].push((u, delay));
-    }
+    let (mut start, mut succ) = (Vec::new(), Vec::new());
+    program.successors_into(&mut start, &mut succ);
+    // Steps advance along every arc, so in (step, id) order a task's
+    // ready time is final before it is taken: relax forward from it.
+    let remote_delay = params.send_occupancy(words_per_arc) + params.t_recv;
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by_key(|&t| (program.step_of[t as usize], t));
-    let mut finish = vec![0u64; n];
+    let mut ready = vec![0u64; n];
     let mut path = 0u64;
     for &t in &order {
-        let ready = incoming[t as usize]
-            .iter()
-            .map(|&(u, delay)| finish[u as usize] + delay)
-            .max()
-            .unwrap_or(0);
-        finish[t as usize] = ready + program.flops * params.t_calc;
-        path = path.max(finish[t as usize]);
+        let t = t as usize;
+        let finish = ready[t] + program.flops * params.t_calc;
+        path = path.max(finish);
+        for &v in &succ[start[t]..start[t + 1]] {
+            let delay = if program.proc_of[t] == program.proc_of[v as usize] {
+                0
+            } else {
+                remote_delay
+            };
+            let r = &mut ready[v as usize];
+            *r = (*r).max(finish + delay);
+        }
     }
     work.max(path)
 }
@@ -367,6 +368,20 @@ mod tests {
         // Same processor: the message is free, only serial compute remains.
         let local = Program::from_parts(vec![0, 1], vec![(0, 1)], vec![0, 0], 1, 1);
         assert_eq!(makespan_lower_bound(&local, &p, 1, false), 2);
+    }
+
+    #[test]
+    fn critical_path_follows_steps_not_ids() {
+        // A six-task chain whose ids run against its steps (task 5 runs
+        // first), alternating processors, with its arcs listed out of
+        // order: 6 computes plus 5 hops of 55.
+        let steps = vec![5, 4, 3, 2, 1, 0];
+        let arcs = vec![(2, 1), (5, 4), (1, 0), (4, 3), (3, 2), (5, 3)];
+        let prog = Program::from_parts(steps.clone(), arcs.clone(), vec![0, 1, 0, 1, 0, 1], 1, 2);
+        let p = MachineParams::classic_1991();
+        assert_eq!(makespan_lower_bound(&prog, &p, 1, false), 6 + 5 * 55);
+        let local = Program::from_parts(steps, arcs, vec![0; 6], 1, 1);
+        assert_eq!(makespan_lower_bound(&local, &p, 1, false), 6);
     }
 
     #[test]

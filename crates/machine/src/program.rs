@@ -104,6 +104,31 @@ impl Program {
             .filter(|&&(a, b)| self.proc_of[a as usize] != self.proc_of[b as usize])
             .count()
     }
+
+    /// The successor lists as one flat array, written into `start` and
+    /// `succ` (cleared first, so buffers can be reused): task `t`'s
+    /// successors, in arc order, are `succ[start[t]..start[t + 1]]`.
+    pub fn successors_into(&self, start: &mut Vec<usize>, succ: &mut Vec<u32>) {
+        let n = self.len();
+        start.clear();
+        start.resize(n + 1, 0);
+        for &(a, _) in &self.arcs {
+            start[a as usize + 1] += 1;
+        }
+        for t in 0..n {
+            start[t + 1] += start[t];
+        }
+        succ.clear();
+        succ.resize(self.arcs.len(), 0);
+        // Fill with `start[a]` as task a's cursor; afterwards it holds
+        // a's end, which is the start of a + 1.
+        for &(a, b) in &self.arcs {
+            succ[start[a as usize]] = b;
+            start[a as usize] += 1;
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+    }
 }
 
 #[cfg(test)]

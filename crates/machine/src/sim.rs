@@ -274,7 +274,8 @@ struct Proc {
 /// before use; only spare capacity is carried over.
 #[derive(Default)]
 pub struct SimScratch {
-    out: Vec<Vec<u32>>,
+    out_start: Vec<usize>,
+    out: Vec<u32>,
     indeg: Vec<u32>,
     proc_of: Vec<u32>,
     done: Vec<bool>,
@@ -317,7 +318,10 @@ struct RetryState {
 struct Engine<'a> {
     program: &'a Program,
     config: &'a SimConfig,
-    out: Vec<Vec<u32>>,
+    /// Successors of task `t` at `out[out_start[t]..out_start[t + 1]]`,
+    /// in arc order.
+    out_start: Vec<usize>,
+    out: Vec<u32>,
     indeg: Vec<u32>,
     /// Mutable task→processor map; diverges from `program.proc_of`
     /// only when `Remap` recovery moves tasks off a crashed processor.
@@ -360,17 +364,13 @@ impl<'a> Engine<'a> {
         }
         // Working buffers come from the scratch, logically reset so a
         // reused scratch behaves exactly like a fresh one.
+        let mut out_start = std::mem::take(&mut scratch.out_start);
         let mut out = std::mem::take(&mut scratch.out);
-        for v in &mut out {
-            v.clear();
-        }
-        out.resize_with(n_tasks, Vec::new);
+        program.successors_into(&mut out_start, &mut out);
         let mut indeg = std::mem::take(&mut scratch.indeg);
         indeg.clear();
         indeg.resize(n_tasks, 0);
-        // Adjacency and in-degrees.
-        for &(a, b) in &program.arcs {
-            out[a as usize].push(b);
+        for &(_, b) in &program.arcs {
             indeg[b as usize] += 1;
         }
         let mut proc_of = std::mem::take(&mut scratch.proc_of);
@@ -402,6 +402,7 @@ impl<'a> Engine<'a> {
         Ok(Engine {
             program,
             config,
+            out_start,
             out,
             indeg,
             proc_of,
@@ -429,6 +430,7 @@ impl<'a> Engine<'a> {
     /// Hand the working buffers back to `scratch` so the next run can
     /// reuse their allocations.
     fn reclaim(&mut self, scratch: &mut SimScratch) {
+        scratch.out_start = std::mem::take(&mut self.out_start);
         scratch.out = std::mem::take(&mut self.out);
         scratch.indeg = std::mem::take(&mut self.indeg);
         scratch.proc_of = std::mem::take(&mut self.proc_of);
@@ -832,8 +834,8 @@ impl<'a> Engine<'a> {
         }
         // Local arcs complete immediately; remote arcs queue sends.
         let mut remote: Vec<(u32, u32)> = Vec::new(); // (dst_proc, dst_task)
-        for i in 0..self.out[task as usize].len() {
-            let w = self.out[task as usize][i];
+        for i in self.out_start[task as usize]..self.out_start[task as usize + 1] {
+            let w = self.out[i];
             let q = self.proc_of[w as usize];
             if q as usize == p {
                 self.complete_arc(w);

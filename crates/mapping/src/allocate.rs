@@ -5,7 +5,6 @@ use crate::bisect::{form_clusters, ClusterFormation};
 use crate::hypercube::Hypercube;
 use crate::Error;
 use loom_partition::Partitioning;
-use loom_rational::Ratio;
 
 /// A placement of blocks onto hypercube processors.
 #[derive(Clone, Debug)]
@@ -50,7 +49,7 @@ impl Mapping {
 /// `n`-cube: Phase I bisection, then Phase II Gray-code allocation
 /// ("every cluster is allocated to the processor whose binary number is
 /// the same as that of the cluster").
-pub fn map_positions(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Mapping, Error> {
+pub fn map_positions<T: Ord>(positions: &[Vec<T>], cube_dim: usize) -> Result<Mapping, Error> {
     let formation = form_clusters(positions, cube_dim)?;
     let mut proc_of_block = vec![0usize; positions.len()];
     for (ci, cluster) in formation.clusters.iter().enumerate() {
@@ -67,29 +66,42 @@ pub fn map_positions(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Mappin
 }
 
 /// Map a partitioning onto an `n`-cube using the grouping and auxiliary
-/// grouping vectors as bisection directions (the set Ω of Algorithm 2).
-///
-/// Each block's coordinate along direction ḡ is its group base vertex
-/// dotted with ḡ. In the degenerate case with no grouping vectors the
-/// block index itself is the single direction.
+/// grouping vectors as bisection directions (the set Ω of Algorithm 2),
+/// at the block coordinates of [`partition_positions`].
 pub fn map_partitioning(p: &Partitioning, cube_dim: usize) -> Result<Mapping, Error> {
+    map_positions(&partition_positions(p)?, cube_dim)
+}
+
+/// Block coordinates of a partitioning along its bisection directions Ω:
+/// block `b`'s coordinate along ḡ is its group base vertex dotted with
+/// ḡ. Both vectors are stored scaled by `s = |Π|²`, so the integer dot
+/// is `s²·(base·ḡ)`; a positive factor keeps the order of the rational
+/// dots, and bisection only compares. In the degenerate case with no
+/// grouping vectors the block index itself is the single direction.
+pub fn partition_positions(p: &Partitioning) -> Result<Vec<Vec<i128>>, Error> {
     let omega = p.vectors().omega();
-    let positions: Vec<Vec<Ratio>> = if omega.is_empty() {
-        (0..p.num_blocks())
-            .map(|b| vec![Ratio::int(b as i64)])
-            .collect()
-    } else {
-        let dirs: Vec<_> = omega
-            .iter()
-            .map(|&i| p.projected().deps()[i].clone())
-            .collect();
-        p.grouping()
-            .groups
-            .iter()
-            .map(|g| dirs.iter().map(|d| g.base.dot(d)).collect())
-            .collect()
-    };
-    map_positions(&positions, cube_dim)
+    if omega.is_empty() {
+        return Ok((0..p.num_blocks()).map(|b| vec![b as i128]).collect());
+    }
+    let qp = p.projected();
+    p.grouping()
+        .groups
+        .iter()
+        .map(|g| {
+            omega
+                .iter()
+                .map(|&i| {
+                    g.base
+                        .iter()
+                        .zip(qp.dep(i))
+                        .try_fold(0i128, |acc, (&a, &d)| {
+                            acc.checked_add(i128::from(a) * i128::from(d))
+                        })
+                        .ok_or(Error::PositionOverflow)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -127,10 +139,9 @@ mod tests {
         let p = matvec(16);
         let m = map_partitioning(&p, 2).unwrap();
         // Order blocks along the chain by their base coordinate.
-        let omega = p.vectors().omega();
-        let dir = p.projected().deps()[omega[0]].clone();
+        let positions = partition_positions(&p).unwrap();
         let mut order: Vec<usize> = (0..p.num_blocks()).collect();
-        order.sort_by_key(|&b| p.grouping().groups[b].base.dot(&dir));
+        order.sort_by_key(|&b| positions[b][0]);
         for w in order.windows(2) {
             let (pa, pb) = (m.proc_of(w[0]), m.proc_of(w[1]));
             assert!(

@@ -1,7 +1,6 @@
 //! Phase I of Algorithm 2: cluster formation by recursive bisection.
 
 use crate::Error;
-use loom_rational::Ratio;
 
 /// The result of recursively bisecting the blocks `n` times: `2ⁿ`
 /// clusters, each with its per-direction split path.
@@ -26,13 +25,17 @@ pub struct ClusterFormation {
 ///
 /// `positions[b][i]` is block `b`'s scalar coordinate along bisection
 /// direction `i` (for a partitioning: the group base vertex dotted with
-/// the grouping / auxiliary grouping vector ḡᵢ). Directions are used
+/// the grouping / auxiliary grouping vector ḡᵢ). Only their order
+/// matters, so any totally ordered scalar will do. Directions are used
 /// round-robin (`i = j mod β`), as in the paper. Ties are broken by
 /// block id so the formation is deterministic.
 ///
 /// Per the paper's assumption the number of blocks must be at least the
 /// number of processors; otherwise `Error::CubeTooLarge` is returned.
-pub fn form_clusters(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<ClusterFormation, Error> {
+pub fn form_clusters<T: Ord>(
+    positions: &[Vec<T>],
+    cube_dim: usize,
+) -> Result<ClusterFormation, Error> {
     let ndirs = positions.first().map_or(0, Vec::len);
     let schedule: Vec<usize> = (0..cube_dim).map(|j| j % ndirs.max(1)).collect();
     form_clusters_with_schedule(positions, &schedule)
@@ -42,8 +45,8 @@ pub fn form_clusters(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Cluste
 /// schedule (`schedule[j]` is the direction of the `j`-th bisection).
 /// Used by the mesh/ring allocators, which need specific split counts
 /// per direction rather than the paper's round robin.
-pub fn form_clusters_with_schedule(
-    positions: &[Vec<Ratio>],
+pub fn form_clusters_with_schedule<T: Ord>(
+    positions: &[Vec<T>],
     schedule: &[usize],
 ) -> Result<ClusterFormation, Error> {
     let cube_dim = schedule.len();
@@ -131,6 +134,7 @@ pub fn form_clusters_with_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loom_rational::Ratio;
 
     /// Positions of a `rows × cols` mesh of unit blocks, row-major:
     /// direction 0 = x (column), direction 1 = y (row).
@@ -239,7 +243,10 @@ mod tests {
 
     #[test]
     fn bad_positions_rejected() {
-        assert_eq!(form_clusters(&[], 1).unwrap_err(), Error::BadPositions);
+        assert_eq!(
+            form_clusters::<Ratio>(&[], 1).unwrap_err(),
+            Error::BadPositions
+        );
         let ragged = vec![vec![Ratio::int(0)], vec![]];
         assert_eq!(form_clusters(&ragged, 0).unwrap_err(), Error::BadPositions);
     }

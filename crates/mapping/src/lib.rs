@@ -56,6 +56,9 @@ pub enum Error {
     },
     /// Position table is ragged or empty.
     BadPositions,
+    /// A block position (a group base dotted with a bisection direction,
+    /// both scaled by `|Π|²`) overflows `i128`.
+    PositionOverflow,
 }
 
 impl std::fmt::Display for Error {
@@ -66,6 +69,7 @@ impl std::fmt::Display for Error {
                 "cannot split {blocks} blocks into 2^{cube_dim} non-empty clusters"
             ),
             Error::BadPositions => write!(f, "ragged or empty block-position table"),
+            Error::PositionOverflow => write!(f, "a block position overflows 128-bit integers"),
         }
     }
 }

@@ -13,10 +13,10 @@
 //! * **ring** — order clusters along the first direction and place the
 //!   `k`-th cluster on node `k`; chain neighbors are ring neighbors.
 
+use crate::allocate::partition_positions;
 use crate::bisect::{form_clusters_with_schedule, ClusterFormation};
 use crate::Error;
 use loom_partition::Partitioning;
-use loom_rational::Ratio;
 
 /// A placement of blocks onto a `rows × cols` mesh (nodes numbered
 /// row-major) or a ring.
@@ -55,8 +55,8 @@ fn log2_exact(n: usize) -> Option<u32> {
 
 /// Map blocks (with bisection-direction coordinates) onto a
 /// `rows × cols` mesh. Both extents must be powers of two.
-pub fn map_positions_mesh(
-    positions: &[Vec<Ratio>],
+pub fn map_positions_mesh<T: Ord>(
+    positions: &[Vec<T>],
     rows: usize,
     cols: usize,
 ) -> Result<TargetMapping, Error> {
@@ -126,7 +126,10 @@ pub fn map_positions_mesh(
 
 /// Map blocks onto a ring of `len` nodes (`len` a power of two): the
 /// `k`-th cluster along direction 0 goes to node `k`.
-pub fn map_positions_ring(positions: &[Vec<Ratio>], len: usize) -> Result<TargetMapping, Error> {
+pub fn map_positions_ring<T: Ord>(
+    positions: &[Vec<T>],
+    len: usize,
+) -> Result<TargetMapping, Error> {
     let Some(bits) = log2_exact(len) else {
         return Err(Error::BadPositions);
     };
@@ -146,44 +149,24 @@ pub fn map_positions_ring(positions: &[Vec<Ratio>], len: usize) -> Result<Target
     })
 }
 
-/// Block coordinates of a partitioning along its grouping / auxiliary
-/// directions (the same positions Algorithm 2's hypercube path uses).
-pub fn partition_positions(p: &Partitioning) -> Vec<Vec<Ratio>> {
-    let omega = p.vectors().omega();
-    if omega.is_empty() {
-        (0..p.num_blocks())
-            .map(|b| vec![Ratio::int(b as i64)])
-            .collect()
-    } else {
-        let dirs: Vec<_> = omega
-            .iter()
-            .map(|&i| p.projected().deps()[i].clone())
-            .collect();
-        p.grouping()
-            .groups
-            .iter()
-            .map(|g| dirs.iter().map(|d| g.base.dot(d)).collect())
-            .collect()
-    }
-}
-
 /// Map a partitioning onto a mesh.
 pub fn map_partitioning_mesh(
     p: &Partitioning,
     rows: usize,
     cols: usize,
 ) -> Result<TargetMapping, Error> {
-    map_positions_mesh(&partition_positions(p), rows, cols)
+    map_positions_mesh(&partition_positions(p)?, rows, cols)
 }
 
 /// Map a partitioning onto a ring.
 pub fn map_partitioning_ring(p: &Partitioning, len: usize) -> Result<TargetMapping, Error> {
-    map_positions_ring(&partition_positions(p), len)
+    map_positions_ring(&partition_positions(p)?, len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loom_rational::Ratio;
 
     fn grid_positions(rows: usize, cols: usize) -> Vec<Vec<Ratio>> {
         let mut pos = Vec::new();

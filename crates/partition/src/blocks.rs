@@ -109,7 +109,7 @@ pub fn partition(
 ) -> Result<Partitioning, Error> {
     pi.check_legal(&deps)?;
     let cs = ComputationalStructure::new(space, deps)?;
-    let qp = ProjectedStructure::project(&cs, &pi);
+    let qp = ProjectedStructure::project(&cs, &pi)?;
     let vectors = select_vectors(&qp, config.grouping_choice)?;
     let grouping = grow(
         &qp,
@@ -117,7 +117,7 @@ pub fn partition(
         &GrowConfig {
             seed: config.seed.clone(),
         },
-    );
+    )?;
 
     // Step 6: B_i = ∪ over v_k^p ∈ G_i of the projection line's points.
     let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); grouping.len()];

@@ -86,14 +86,11 @@ pub fn group_dependence_graph(p: &Partitioning) -> Vec<BTreeSet<usize>> {
     let qp = p.projected();
     let g = p.grouping();
     let mut out: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g.len()];
+    let nonzero = qp.nonzero_dep_indices();
     for pid in 0..qp.len() {
         let from = g.group_of[pid];
-        for d in qp.deps() {
-            if d.is_zero() {
-                continue;
-            }
-            let q = &qp.points()[pid] + d;
-            if let Some(qid) = qp.id_of(&q) {
+        for &k in &nonzero {
+            if let Some(qid) = qp.neighbor(pid, k) {
                 let to = g.group_of[qid];
                 if to != from {
                     out[from].insert(to);

@@ -45,10 +45,10 @@ pub fn select_vectors(
 ) -> Result<GroupingVectors, Error> {
     let nonzero = qp.nonzero_dep_indices();
     if let Some(p) = prefer {
-        if p >= qp.deps().len() {
+        if p >= qp.num_deps() {
             return Err(Error::BadDependenceIndex {
                 index: p,
-                len: qp.deps().len(),
+                len: qp.num_deps(),
             });
         }
     }
@@ -62,10 +62,7 @@ pub fn select_vectors(
     }
 
     // Step 1: r_i = least positive integer with r_i·d_i^p ∈ ℤⁿ; r = max.
-    let multipliers: Vec<(usize, i64)> = nonzero
-        .iter()
-        .map(|&i| (i, qp.deps()[i].least_integer_multiplier()))
-        .collect();
+    let multipliers: Vec<(usize, i64)> = nonzero.iter().map(|&i| (i, qp.multiplier(i))).collect();
     let r = multipliers.iter().map(|&(_, m)| m).max().unwrap();
     let grouping = match prefer {
         Some(p) => {
@@ -88,11 +85,11 @@ pub fn select_vectors(
 
     // β = rank of the projected dependence matrix (nonzero columns
     // suffice — zero columns never change rank).
-    let cols: Vec<QVec> = nonzero.iter().map(|&i| qp.deps()[i].clone()).collect();
+    let cols: Vec<QVec> = nonzero.iter().map(|&i| qp.dep_q(i)).collect();
     let beta = linalg::rank(&loom_rational::QMat::from_columns(&cols));
 
     // Step 2: grow an independent set {d_l^p} ∪ Ψ of size β.
-    let mut chosen: Vec<QVec> = vec![qp.deps()[grouping].clone()];
+    let mut chosen: Vec<QVec> = vec![qp.dep_q(grouping)];
     let mut auxiliary = Vec::new();
     for &i in &nonzero {
         if auxiliary.len() + 1 == beta {
@@ -102,7 +99,7 @@ pub fn select_vectors(
             continue;
         }
         let mut trial = chosen.clone();
-        trial.push(qp.deps()[i].clone());
+        trial.push(qp.dep_q(i));
         if linalg::independent(&trial) {
             chosen = trial;
             auxiliary.push(i);
@@ -137,7 +134,7 @@ mod tests {
 
     fn project(sizes: &[i64], deps: Vec<Vec<i64>>, pi: Vec<i64>) -> ProjectedStructure {
         let cs = ComputationalStructure::new(IterSpace::rect(sizes).unwrap(), deps).unwrap();
-        ProjectedStructure::project(&cs, &TimeFn::new(pi))
+        ProjectedStructure::project(&cs, &TimeFn::new(pi)).unwrap()
     }
 
     #[test]

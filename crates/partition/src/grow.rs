@@ -3,15 +3,18 @@
 
 use crate::grouping::GroupingVectors;
 use crate::project::ProjectedStructure;
-use loom_rational::{QVec, Ratio};
-use std::collections::{BTreeSet, VecDeque};
+use crate::Error;
+use loom_rational::QVec;
+use std::collections::VecDeque;
 
 /// One group of projected points.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Group {
-    /// The base vertex `v₀^p` (may lie outside `V^p` for boundary groups
-    /// whose low end is clipped by the index-set boundary).
-    pub base: QVec,
+    /// The base vertex `v₀^p`, scaled by `|Π|²` like every coordinate of
+    /// the [`ProjectedStructure`] (`qp.unscale(&base)` is the rational
+    /// vertex). It may lie outside `V^p` for boundary groups whose low
+    /// end is clipped by the index-set boundary.
+    pub base: Vec<i64>,
     /// Projected-point ids in the group, ordered along the grouping
     /// vector from the base.
     pub members: Vec<usize>,
@@ -45,7 +48,8 @@ impl Grouping {
 pub struct GrowConfig {
     /// Base vertex of the first group. Defaults to the lexicographically
     /// smallest projected point. The paper's matmul walkthrough uses
-    /// `(−1, −1, 2)`.
+    /// `(−1, −1, 2)`. A seed that is not an integer vector once scaled
+    /// by `|Π|²` (or leaves `i64` when scaled) meets no projected point.
     pub seed: Option<QVec>,
 }
 
@@ -57,9 +61,16 @@ pub struct GrowConfig {
 /// auxiliary vector (stride `d_j^p`), creating each group's members as the
 /// projected points `base + k·d_l^p, 0 ≤ k < r` that exist and are still
 /// ungrouped. When an island is exhausted but ungrouped points remain
-/// (disconnected or irregular regions), growth reseeds at the smallest
-/// ungrouped point.
-pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) -> Grouping {
+/// (disconnected or irregular regions), growth reseeds at the ungrouped
+/// point with the smallest id.
+///
+/// All of it runs on the scaled integer coordinates of `qp`. A base
+/// whose coordinates overflow `i64` is [`Error::ProjectionOverflow`].
+pub fn grow(
+    qp: &ProjectedStructure,
+    gv: &GroupingVectors,
+    config: &GrowConfig,
+) -> Result<Grouping, Error> {
     const UNASSIGNED: usize = usize::MAX;
     let n_points = qp.len();
     let mut group_of = vec![UNASSIGNED; n_points];
@@ -70,44 +81,81 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
         for (pid, slot) in group_of.iter_mut().enumerate() {
             *slot = groups.len();
             groups.push(Group {
-                base: qp.points()[pid].clone(),
+                base: qp.point(pid).to_vec(),
                 members: vec![pid],
             });
         }
-        return Grouping { groups, group_of };
+        return Ok(Grouping { groups, group_of });
     };
 
-    let dl = qp.deps()[gidx].clone();
+    let overflow = || Error::ProjectionOverflow {
+        pi: qp.time_fn().coeffs().to_vec(),
+    };
+    let dl = qp.dep(gidx);
+    let n = dl.len();
     let r = gv.r;
-    let stride = dl.scale(Ratio::int(r)); // r·d_l^p — same-line group stride
-    let aux: Vec<QVec> = gv.auxiliary.iter().map(|&i| qp.deps()[i].clone()).collect();
+    // r·d_l^p — same-line group stride — then each auxiliary vector.
+    let stride: Vec<i64> = dl
+        .iter()
+        .map(|&c| c.checked_mul(r))
+        .collect::<Option<_>>()
+        .ok_or_else(overflow)?;
+    let steps: Vec<&[i64]> = std::iter::once(&stride[..])
+        .chain(gv.auxiliary.iter().map(|&i| qp.dep(i)))
+        .collect();
 
-    let mut visited_bases: BTreeSet<QVec> = BTreeSet::new();
-    let mut remaining: BTreeSet<usize> = (0..n_points).collect();
+    // The breadth-first queue: bases of `n` coordinates laid end to end.
+    let mut queue: VecDeque<i64> = VecDeque::new();
+    let mut base: Vec<i64> = Vec::new();
+    let mut pos: Vec<i64> = Vec::new();
+    // Every pid below `cursor` is grouped; pids only ever get grouped,
+    // so the smallest ungrouped pid never decreases.
+    let mut cursor = 0;
 
-    let mut first_seed = config
-        .seed
-        .clone()
-        .or_else(|| qp.points().iter().min().cloned());
+    let mut first_seed = match &config.seed {
+        Some(q) => Some(qp.scale_q(q)),
+        None => qp
+            .lexicographic_min()
+            .map(|pid| Some(qp.point(pid).to_vec())),
+    };
 
-    while let Some(&start_pid) = remaining.iter().next() {
+    loop {
+        while cursor < n_points && group_of[cursor] != UNASSIGNED {
+            cursor += 1;
+        }
+        if cursor == n_points {
+            break;
+        }
         // Step 3: seed a group. The very first seed may be user-chosen;
         // reseeds use the smallest ungrouped point.
-        let seed_base = first_seed
-            .take()
-            .unwrap_or_else(|| qp.points()[start_pid].clone());
-
-        let mut queue: VecDeque<QVec> = VecDeque::new();
-        queue.push_back(seed_base);
+        match first_seed.take() {
+            Some(Some(seed)) => queue.extend(seed),
+            Some(None) => continue, // a seed off the scaled lattice meets no point
+            None => queue.extend(qp.point(cursor)),
+        }
 
         // Step 4: breadth-first neighbor expansion.
-        while let Some(base) = queue.pop_front() {
-            if !visited_bases.insert(base.clone()) {
-                continue;
+        while !queue.is_empty() {
+            base.clear();
+            base.extend(queue.drain(..n));
+            // A base seen before adds nothing: every position it reaches
+            // was grouped on its first visit. Skipping the bases that
+            // head their group, found by their k = 0 position, saves
+            // most of the repeat probes.
+            if let Some(pid) = qp.id_of(&base) {
+                let gid = group_of[pid];
+                if gid != UNASSIGNED && groups[gid].base == base {
+                    continue;
+                }
             }
             let mut members = Vec::new();
+            pos.clone_from(&base);
             for k in 0..r {
-                let pos = &base + &dl.scale(Ratio::int(k));
+                // pos = base + k·d_l^p; past an overflow every later
+                // position is outside `i64` too, where no point lies.
+                if k > 0 && !add_assign(&mut pos, dl, 1) {
+                    break;
+                }
                 if let Some(pid) = qp.id_of(&pos) {
                     if group_of[pid] == UNASSIGNED {
                         members.push(pid);
@@ -120,25 +168,41 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
             let gid = groups.len();
             for &pid in &members {
                 group_of[pid] = gid;
-                remaining.remove(&pid);
+            }
+            // Forward/backward neighbors along the grouping vector and
+            // each auxiliary grouping vector.
+            for step in &steps {
+                for sign in [1, -1] {
+                    pos.clone_from(&base);
+                    if !add_assign(&mut pos, step, sign) {
+                        return Err(overflow());
+                    }
+                    queue.extend(&pos);
+                }
             }
             groups.push(Group {
                 base: base.clone(),
                 members,
             });
-            // Forward/backward neighbors along the grouping vector …
-            queue.push_back(&base + &stride);
-            queue.push_back(&base - &stride);
-            // … and along each auxiliary grouping vector.
-            for a in &aux {
-                queue.push_back(&base + a);
-                queue.push_back(&base - a);
-            }
         }
         // Step 5: loop reseeds while ungrouped points remain.
     }
 
-    Grouping { groups, group_of }
+    Ok(Grouping { groups, group_of })
+}
+
+/// `v += sign·step` in checked arithmetic; `false` (with `v` partly
+/// updated) on overflow.
+fn add_assign(v: &mut [i64], step: &[i64], sign: i64) -> bool {
+    v.iter_mut().zip(step).all(
+        |(x, &d)| match d.checked_mul(sign).and_then(|d| x.checked_add(d)) {
+            Some(y) => {
+                *x = y;
+                true
+            }
+            None => false,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -157,9 +221,9 @@ mod tests {
         seed: Option<QVec>,
     ) -> (ProjectedStructure, GroupingVectors, Grouping) {
         let cs = ComputationalStructure::new(IterSpace::rect(sizes).unwrap(), deps).unwrap();
-        let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi));
+        let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi)).unwrap();
         let gv = select_vectors(&qp, prefer).unwrap();
-        let g = grow(&qp, &gv, &GrowConfig { seed });
+        let g = grow(&qp, &gv, &GrowConfig { seed }).unwrap();
         (qp, gv, g)
     }
 
@@ -199,7 +263,7 @@ mod tests {
     fn matmul_grouping_with_paper_seed_gives_17_groups() {
         // Example 2 / Fig. 6: grouping vector d_A^p, auxiliary d_C^p,
         // seed (−1,−1,2) → 17 groups.
-        let seed = QVec::new(vec![Ratio::int(-1), Ratio::int(-1), Ratio::int(2)]);
+        let seed = QVec::from_ints(&[-1, -1, 2]);
         let (qp, gv, g) = build(
             &[4, 4, 4],
             vec![vec![0, 1, 0], vec![1, 0, 0], vec![0, 0, 1]],
@@ -235,14 +299,14 @@ mod tests {
             Some(0),
             None,
         );
-        let dl = &qp.deps()[gv.grouping.unwrap()];
+        let dl = qp.dep_q(gv.grouping.unwrap());
         for grp in &g.groups {
             for w in grp.members.windows(2) {
-                let diff = &qp.points()[w[1]] - &qp.points()[w[0]];
+                let diff = &qp.point_q(w[1]) - &qp.point_q(w[0]);
                 // Consecutive members differ by a positive multiple of d_l^p
                 // (gaps happen at clipped boundaries).
                 assert!(
-                    diff.positively_parallel(dl) || diff == *dl,
+                    diff.positively_parallel(&dl) || diff == dl,
                     "members not along grouping vector"
                 );
             }

@@ -129,16 +129,12 @@ pub fn check_theorem2(p: &Partitioning) -> Vec<LawViolation> {
 fn targets_per_direction(p: &Partitioning) -> Vec<Vec<BTreeSet<usize>>> {
     let qp = p.projected();
     let g = p.grouping();
-    let ndeps = qp.deps().len();
-    let mut targets = vec![vec![BTreeSet::new(); ndeps]; g.len()];
+    let nonzero = qp.nonzero_dep_indices();
+    let mut targets = vec![vec![BTreeSet::new(); qp.num_deps()]; g.len()];
     for pid in 0..qp.len() {
         let from = g.group_of[pid];
-        for (k, d) in qp.deps().iter().enumerate() {
-            if d.is_zero() {
-                continue;
-            }
-            let q = &qp.points()[pid] + d;
-            if let Some(qid) = qp.id_of(&q) {
+        for &k in &nonzero {
+            if let Some(qid) = qp.neighbor(pid, k) {
                 let to = g.group_of[qid];
                 if to != from {
                     targets[from][k].insert(to);

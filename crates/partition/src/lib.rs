@@ -73,6 +73,13 @@ pub enum Error {
         /// The exact point count, when it fits in `usize`.
         points: Option<usize>,
     },
+    /// The projection along Π leaves 64-bit integers: the scaled
+    /// coordinates `|Π|²·x − (x·Π)·Π` of a point or dependence, or a
+    /// group base built from them, overflow `i64`.
+    ProjectionOverflow {
+        /// The time function's coefficients.
+        pi: Vec<i64>,
+    },
     /// A requested grouping-vector override does not achieve the maximal
     /// multiplier `r` (Algorithm 1 requires the grouping vector to have
     /// `r_l = r`).
@@ -115,6 +122,14 @@ impl std::fmt::Display for Error {
                 "iteration space too large to enumerate (more than {} points)",
                 usize::MAX
             ),
+            Error::ProjectionOverflow { pi } => {
+                let pi: Vec<String> = pi.iter().map(i64::to_string).collect();
+                write!(
+                    f,
+                    "projection along \u{3a0} = ({}) overflows 64-bit integer coordinates",
+                    pi.join(",")
+                )
+            }
             Error::InvalidGroupingChoice {
                 requested,
                 r_requested,

@@ -4,9 +4,8 @@ use crate::points::{Lattice, Points};
 use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
-use loom_rational::int::gcd_all;
-use loom_rational::QVec;
-use std::collections::BTreeMap;
+use loom_rational::int::{gcd, gcd_all};
+use loom_rational::{QVec, Ratio};
 
 /// The computational structure `Q = (V, D)` of a nested loop
 /// (Definition 2): the enumerated index set plus the dependence vectors.
@@ -131,89 +130,125 @@ pub(crate) fn line_step(pi: &[i64]) -> Vec<i64> {
 
 /// The projected structure `Q^p = (V^p, D^p)` (Definition 5): the images
 /// of `V` and `D` on the zero-hyperplane `Π·x = 0`.
+///
+/// Coordinates are stored scaled by the positive integer `s = |Π|²`: the
+/// image `q = x − (x·Π / Π·Π)·Π` of a point `x` is kept as the exact
+/// integer vector `s·q = s·x − (x·Π)·Π`. Scaling by a positive constant
+/// preserves sums, equality and lexicographic order, so Algorithms 1 and
+/// 2, which only add projected vectors, look them up and compare them,
+/// run on these integers and decide exactly what they would decide on
+/// the rationals. [`point_q`](ProjectedStructure::point_q) and
+/// [`dep_q`](ProjectedStructure::dep_q) are the rational view, for
+/// display and for rational reasoning outside the hot loops.
 #[derive(Clone, Debug)]
 pub struct ProjectedStructure {
     pi: TimeFn,
-    proj_points: Vec<QVec>,
-    proj_index: BTreeMap<QVec, usize>,
+    dim: usize,
+    scale: i64,
+    /// `s·q` of projected point `pid` at `coords[pid·n..(pid + 1)·n]`.
+    coords: Vec<i64>,
+    /// Projected-point ids in lexicographic order of their coordinates.
+    sorted: Vec<usize>,
     /// Original point ids of projection line `pid`, sorted by execution
     /// step, at `members[line_start[pid]..line_start[pid + 1]]`.
     line_start: Vec<usize>,
     members: Vec<usize>,
-    proj_deps: Vec<QVec>,
+    /// `s·d^p` of dependence `k` at `dep_coords[k·n..(k + 1)·n]`.
+    dep_coords: Vec<i64>,
 }
 
 impl ProjectedStructure {
     /// Project a computational structure along Π (which must be legal for
     /// `cs.deps()`; legality is the caller's responsibility and checked by
-    /// [`crate::partition`]).
+    /// [`crate::partition`]). A Π whose scaled coordinates overflow `i64`
+    /// is [`Error::ProjectionOverflow`].
     ///
     /// Implementation note: the lattice points of one projection line are
     /// `p + k·u` for the step `u` of [`line_step`]. `V` is the set of
     /// lattice points of a convex polyhedron (the loop bounds are affine),
-    /// so each line meets it in a contiguous run of `k`. Walking the
-    /// points in id (lexicographic) order, a point therefore opens a new
-    /// line iff `p − u ∉ V`, and otherwise joins the line of `p − u`,
-    /// which has a smaller id. Projected-point ids follow first
-    /// appearance, and members come out in lexicographic order, which on
-    /// a line is execution-step order when `Π·u > 0` and its reverse when
-    /// Π is lexicographically negative. The rational coordinates are
-    /// materialized once per line.
-    pub fn project(cs: &ComputationalStructure, pi: &TimeFn) -> ProjectedStructure {
-        let pi_q = pi.as_qvec();
-        let u = line_step(pi.coeffs());
-        let mut proj_points: Vec<QVec> = Vec::new();
-        let mut line_of = vec![0usize; cs.len()];
-        let mut line_len: Vec<usize> = Vec::new();
-        for id in 0..cs.len() {
-            let p = cs.point(id);
-            let pid = match cs.lattice.rank(|j| p[j].checked_sub(u[j])) {
-                Some(prev) => line_of[prev],
-                None => {
-                    proj_points.push(QVec::from_ints(p).project(&pi_q));
-                    line_len.push(0);
-                    proj_points.len() - 1
+    /// so each line meets it in a contiguous run of `k`, starting at its
+    /// lexicographically smallest point. Walking the points in id
+    /// (lexicographic) order, the first point not yet on a line opens
+    /// the next one, and `p + u, p + 2u, …` are its members until the
+    /// run leaves `V`. Projected-point ids follow first appearance, and
+    /// members come out in lexicographic order, which on a line is
+    /// execution-step order when `Π·u > 0` and its reverse when Π is
+    /// lexicographically negative. The scaled coordinates are computed
+    /// once per line.
+    pub fn project(cs: &ComputationalStructure, pi: &TimeFn) -> Result<ProjectedStructure, Error> {
+        let dim = cs.space().dim();
+        for found in std::iter::once(pi.dim()).chain(cs.deps().iter().map(Vec::len)) {
+            if found != dim {
+                return Err(loom_hyperplane::Error::DimMismatch {
+                    expected: dim,
+                    found,
                 }
-            };
-            line_of[id] = pid;
-            line_len[pid] += 1;
-        }
-        let line_start: Vec<usize> = std::iter::once(0)
-            .chain(line_len.iter().scan(0, |end, &len| {
-                *end += len;
-                Some(*end)
-            }))
-            .collect();
-        let mut next = line_start.clone();
-        let mut members = vec![0usize; cs.len()];
-        for (id, &pid) in line_of.iter().enumerate() {
-            members[next[pid]] = id;
-            next[pid] += 1;
-        }
-        if pi.dot(&u) < 0 {
-            // Π is lexicographically negative: steps fall along `u`.
-            for w in line_start.windows(2) {
-                members[w[0]..w[1]].reverse();
+                .into());
             }
         }
-        let proj_index: BTreeMap<QVec, usize> = proj_points
+        let overflow = || Error::ProjectionOverflow {
+            pi: pi.coeffs().to_vec(),
+        };
+        let picf = pi.coeffs();
+        let scale = picf
             .iter()
-            .enumerate()
-            .map(|(pid, q)| (q.clone(), pid))
-            .collect();
-        let proj_deps = cs
-            .deps()
-            .iter()
-            .map(|d| QVec::from_ints(d).project(&pi_q))
-            .collect();
-        ProjectedStructure {
+            .try_fold(0i64, |acc, &a| acc.checked_add(a.checked_mul(a)?))
+            .ok_or_else(overflow)?;
+        // s·x − (x·Π)·Π, appended to `out`; `None` on overflow.
+        let push_scaled = |x: &[i64], out: &mut Vec<i64>| -> Option<()> {
+            let t = x
+                .iter()
+                .zip(picf)
+                .try_fold(0i64, |acc, (&c, &a)| acc.checked_add(c.checked_mul(a)?))?;
+            for (&c, &a) in x.iter().zip(picf) {
+                out.push(scale.checked_mul(c)?.checked_sub(t.checked_mul(a)?)?);
+            }
+            Some(())
+        };
+        let u = line_step(picf);
+        let falling = pi.dot(&u) < 0; // Π lexicographically negative
+        let mut coords: Vec<i64> = Vec::new();
+        let mut line_start = vec![0];
+        let mut members = Vec::with_capacity(cs.len());
+        let mut on_line = vec![false; cs.len()];
+        for id in 0..cs.len() {
+            if on_line[id] {
+                continue;
+            }
+            push_scaled(cs.point(id), &mut coords).ok_or_else(overflow)?;
+            let start = members.len();
+            let mut last = id;
+            loop {
+                on_line[last] = true;
+                members.push(last);
+                let p = cs.point(last);
+                match cs.lattice.rank(|j| p[j].checked_add(u[j])) {
+                    Some(next) => last = next,
+                    None => break,
+                }
+            }
+            if falling {
+                members[start..].reverse();
+            }
+            line_start.push(members.len());
+        }
+        let mut dep_coords = Vec::with_capacity(cs.deps().len() * dim);
+        for d in cs.deps() {
+            push_scaled(d, &mut dep_coords).ok_or_else(overflow)?;
+        }
+        let mut sorted: Vec<usize> = (0..line_start.len() - 1).collect();
+        let at = |pid: usize| &coords[pid * dim..(pid + 1) * dim];
+        sorted.sort_unstable_by(|&a, &b| at(a).cmp(at(b)));
+        Ok(ProjectedStructure {
             pi: pi.clone(),
-            proj_points,
-            proj_index,
+            dim,
+            scale,
+            coords,
+            sorted,
             line_start,
             members,
-            proj_deps,
-        }
+            dep_coords,
+        })
     }
 
     /// The time function used as projection vector.
@@ -221,25 +256,70 @@ impl ProjectedStructure {
         &self.pi
     }
 
-    /// The distinct projected points `V^p`; position = projected-point id.
-    pub fn points(&self) -> &[QVec] {
-        &self.proj_points
+    /// The scale `s = |Π|²` of every stored coordinate.
+    pub fn scale(&self) -> i64 {
+        self.scale
     }
 
     /// Number of projected points `|V^p|` (37 for the paper's 4×4×4
     /// matmul with Π = (1,1,1)).
     pub fn len(&self) -> usize {
-        self.proj_points.len()
+        self.line_start.len() - 1
     }
 
     /// `true` iff there are no projected points.
     pub fn is_empty(&self) -> bool {
-        self.proj_points.is_empty()
+        self.len() == 0
     }
 
-    /// Id of a projected point, if present.
-    pub fn id_of(&self, q: &QVec) -> Option<usize> {
-        self.proj_index.get(q).copied()
+    /// Scaled coordinates `s·q` of projected point `pid`; position in
+    /// `0..len()` is the projected-point id.
+    pub fn point(&self, pid: usize) -> &[i64] {
+        &self.coords[pid * self.dim..(pid + 1) * self.dim]
+    }
+
+    /// Projected point `pid` as the rational vector `q`.
+    pub fn point_q(&self, pid: usize) -> QVec {
+        self.unscale(self.point(pid))
+    }
+
+    /// Id of the projected point with scaled coordinates `scaled`, if
+    /// present: a binary search over the lexicographic order.
+    pub fn id_of(&self, scaled: &[i64]) -> Option<usize> {
+        if scaled.len() != self.dim {
+            return None;
+        }
+        self.find(|j| Some(scaled[j]))
+    }
+
+    /// Id of the projected point `q_pid + d_k^p`, if present — the probe
+    /// behind every walk over the projected dependence graph.
+    pub fn neighbor(&self, pid: usize, k: usize) -> Option<usize> {
+        let (p, d) = (self.point(pid), self.dep(k));
+        self.find(|j| p[j].checked_add(d[j]))
+    }
+
+    /// The projected point whose `j`-th scaled coordinate is `coord(j)`;
+    /// `None` for a coordinate outside `i64`, which no point has.
+    fn find(&self, coord: impl Fn(usize) -> Option<i64>) -> Option<usize> {
+        if (0..self.dim).any(|j| coord(j).is_none()) {
+            return None;
+        }
+        self.sorted
+            .binary_search_by(|&pid| {
+                let p = self.point(pid);
+                (0..self.dim)
+                    .map(|j| p[j].cmp(&coord(j).unwrap_or_default()))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .ok()
+            .map(|i| self.sorted[i])
+    }
+
+    /// The smallest projected point in lexicographic order.
+    pub(crate) fn lexicographic_min(&self) -> Option<usize> {
+        self.sorted.first().copied()
     }
 
     /// Original point ids lying on the projection line of projected point
@@ -248,21 +328,56 @@ impl ProjectedStructure {
         &self.members[self.line_start[pid]..self.line_start[pid + 1]]
     }
 
-    /// The projected dependence vectors `D^p`, aligned index-for-index
-    /// with the original dependence set.
-    pub fn deps(&self) -> &[QVec] {
-        &self.proj_deps
+    /// Number of dependences (the projections `D^p` are aligned
+    /// index-for-index with the original dependence set).
+    pub fn num_deps(&self) -> usize {
+        self.dep_coords.len() / self.dim.max(1)
+    }
+
+    /// Scaled projected dependence `s·d_k^p`.
+    pub fn dep(&self, k: usize) -> &[i64] {
+        &self.dep_coords[k * self.dim..(k + 1) * self.dim]
+    }
+
+    /// Projected dependence `d_k^p` as a rational vector.
+    pub fn dep_q(&self, k: usize) -> QVec {
+        self.unscale(self.dep(k))
+    }
+
+    /// `r_k`, the least positive integer with `r_k·d_k^p ∈ ℤⁿ`
+    /// (Algorithm 1, Step 1): `s / gcd(s, s·d_k^p)`.
+    pub fn multiplier(&self, k: usize) -> i64 {
+        self.scale / gcd(self.scale, gcd_all(self.dep(k)))
     }
 
     /// Indices of dependences whose projection is nonzero (dependences
     /// parallel to Π project to the zero vector and stay inside a single
     /// projection line).
     pub fn nonzero_dep_indices(&self) -> Vec<usize> {
-        self.proj_deps
+        (0..self.num_deps())
+            .filter(|&k| self.dep(k).iter().any(|&c| c != 0))
+            .collect()
+    }
+
+    /// The rational vector `v / s` of scaled coordinates `v`.
+    pub fn unscale(&self, v: &[i64]) -> QVec {
+        QVec::new(v.iter().map(|&c| Ratio::new(c, self.scale)).collect())
+    }
+
+    /// The scaled coordinates `s·q` of a rational vector, or `None` when
+    /// `q` has the wrong arity or `s·q` is not an integer vector in
+    /// `i64` — such a vector is no projected point and no sum of them.
+    pub fn scale_q(&self, q: &QVec) -> Option<Vec<i64>> {
+        if q.dim() != self.dim {
+            return None;
+        }
+        q.coords()
             .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_zero())
-            .map(|(i, _)| i)
+            .map(|c| {
+                let n = i128::from(c.num()) * i128::from(self.scale);
+                let d = i128::from(c.den());
+                (n % d == 0).then(|| i64::try_from(n / d).ok()).flatten()
+            })
             .collect()
     }
 }
@@ -293,20 +408,15 @@ mod tests {
     fn l1_projection_has_seven_lines() {
         // Paper: seven projected points / projection lines for L1.
         let (cs, pi) = l1();
-        let qp = ProjectedStructure::project(&cs, &pi);
+        let qp = ProjectedStructure::project(&cs, &pi).unwrap();
         assert_eq!(qp.len(), 7);
-        // The projected points include (−3/2, 3/2) … (3/2, −3/2).
+        // The projected points include (−3/2, 3/2) … (3/2, −3/2), stored
+        // scaled by |Π|² = 2.
+        assert_eq!(qp.scale(), 2);
         let q = |a: i64, b: i64| QVec::new(vec![Ratio::new(a, 2), Ratio::new(b, 2)]);
-        for expected in [
-            q(-3, 3),
-            q(-2, 2),
-            q(-1, 1),
-            q(0, 0),
-            q(1, -1),
-            q(2, -2),
-            q(3, -3),
-        ] {
-            assert!(qp.id_of(&expected).is_some(), "missing {expected}");
+        for a in -3..=3 {
+            let pid = qp.id_of(&[a, -a]).expect("projected point");
+            assert_eq!(qp.point_q(pid), q(a, -a));
         }
         // Line membership counts: 1,2,3,4,3,2,1 in some order; total 16.
         let mut sizes: Vec<usize> = (0..7).map(|i| qp.line_members(i).len()).collect();
@@ -317,13 +427,60 @@ mod tests {
     #[test]
     fn l1_projected_deps_match_paper_fig3() {
         let (cs, pi) = l1();
-        let qp = ProjectedStructure::project(&cs, &pi);
+        let qp = ProjectedStructure::project(&cs, &pi).unwrap();
         let h = |a: i64, b: i64| QVec::new(vec![Ratio::new(a, 2), Ratio::new(b, 2)]);
         // d1 = (0,1) → (−1/2, 1/2); d2 = (1,1) → (0,0); d3 = (1,0) → (1/2, −1/2).
-        assert_eq!(qp.deps()[0], h(-1, 1));
-        assert!(qp.deps()[1].is_zero());
-        assert_eq!(qp.deps()[2], h(1, -1));
+        assert_eq!(qp.dep(0), [-1, 1]);
+        assert_eq!(qp.dep_q(0), h(-1, 1));
+        assert!(qp.dep_q(1).is_zero());
+        assert_eq!(qp.dep_q(2), h(1, -1));
         assert_eq!(qp.nonzero_dep_indices(), vec![0, 2]);
+        assert_eq!((qp.multiplier(0), qp.multiplier(1)), (2, 1));
+    }
+
+    #[test]
+    fn neighbor_steps_by_projected_dependence() {
+        let (cs, pi) = l1();
+        let qp = ProjectedStructure::project(&cs, &pi).unwrap();
+        // Scaled by 2, the lines are (a, −a) for a in −3..=3 and
+        // d1^p = (−1, 1): stepping by it walks down to (−3, 3).
+        let at = |a: i64| qp.id_of(&[a, -a]).unwrap();
+        for a in -2..=3 {
+            assert_eq!(qp.neighbor(at(a), 0), Some(at(a - 1)));
+            assert_eq!(qp.neighbor(at(a), 1), Some(at(a)), "d2 ∥ Π");
+        }
+        assert_eq!(qp.neighbor(at(-3), 0), None);
+        assert_eq!(qp.neighbor(at(3), 2), None);
+        assert_eq!(qp.lexicographic_min(), Some(at(-3)));
+    }
+
+    #[test]
+    fn projection_overflow_is_an_error_not_a_panic() {
+        // |Π|² fits in i64, but |Π|²·x does not once x ≥ 2.
+        let cs = ComputationalStructure::new(IterSpace::rect(&[8, 8]).unwrap(), vec![vec![1, 0]])
+            .unwrap();
+        let pi = TimeFn::new(vec![3_000_000_000, 5]);
+        let err = ProjectedStructure::project(&cs, &pi).unwrap_err();
+        assert_eq!(
+            err,
+            Error::ProjectionOverflow {
+                pi: vec![3_000_000_000, 5]
+            }
+        );
+        assert!(err.to_string().contains("(3000000000,5)"), "{err}");
+    }
+
+    #[test]
+    fn scale_q_inverts_unscale_and_rejects_off_lattice() {
+        let (cs, pi) = l1();
+        let qp = ProjectedStructure::project(&cs, &pi).unwrap();
+        for pid in 0..qp.len() {
+            assert_eq!(qp.scale_q(&qp.point_q(pid)).as_deref(), Some(qp.point(pid)));
+        }
+        let third = QVec::new(vec![Ratio::new(1, 3), Ratio::ZERO]);
+        assert_eq!(qp.scale_q(&third), None);
+        assert_eq!(qp.scale_q(&QVec::from_ints(&[1, 2, 3])), None);
+        assert_eq!(qp.scale_q(&QVec::from_ints(&[i64::MAX, 0])), None);
     }
 
     #[test]
@@ -332,7 +489,7 @@ mod tests {
         let space = IterSpace::rect(&[4, 4, 4]).unwrap();
         let deps = vec![vec![0, 1, 0], vec![1, 0, 0], vec![0, 0, 1]];
         let cs = ComputationalStructure::new(space, deps).unwrap();
-        let qp = ProjectedStructure::project(&cs, &TimeFn::wavefront(3));
+        let qp = ProjectedStructure::project(&cs, &TimeFn::wavefront(3)).unwrap();
         assert_eq!(qp.len(), 37);
         // Every original point lands on exactly one line.
         let total: usize = (0..qp.len()).map(|i| qp.line_members(i).len()).sum();
@@ -342,7 +499,7 @@ mod tests {
     #[test]
     fn line_members_sorted_by_time() {
         let (cs, pi) = l1();
-        let qp = ProjectedStructure::project(&cs, &pi);
+        let qp = ProjectedStructure::project(&cs, &pi).unwrap();
         for pid in 0..qp.len() {
             let times: Vec<i64> = qp
                 .line_members(pid)

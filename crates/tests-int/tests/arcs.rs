@@ -10,14 +10,23 @@
 //! * the row-wise `IterSpace::{count, count_up_to, bounding_box}` and
 //!   `TimeFn::step_range` against enumeration;
 //! * the projection lines found by `p − u` lookups against grouping by
-//!   the scaled integer projection.
+//!   the scaled integer projection;
+//! * the integer projected structure — ids, `neighbor`, region growing
+//!   and Algorithm 2's placement — against the rational definitions in
+//!   `support`.
+
+mod support;
 
 use loom_core::{Pipeline, PipelineConfig, PipelineOutput};
 use loom_hyperplane::TimeFn;
 use loom_loopir::{parse_nest, Aff, IterSpace, LoopNest, Point};
-use loom_partition::{ComputationalStructure, ProjectedStructure};
-use loom_rational::QVec;
+use loom_mapping::{map_partitioning, map_positions};
+use loom_partition::grouping::select_vectors;
+use loom_partition::grow::{grow, GrowConfig};
+use loom_partition::{partition, ComputationalStructure, PartitionConfig, ProjectedStructure};
+use loom_rational::{QVec, Ratio};
 use std::collections::{BTreeMap, HashMap};
+use support::RationalProjection;
 
 fn read_sample(name: &str) -> LoopNest {
     let path = format!("{}/../../samples/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -280,7 +289,7 @@ fn projection_lines_match_scaled_projection_oracle() {
         let dim = space.dim();
         let cs = ComputationalStructure::new(space, vec![]).unwrap();
         for pi in time_fns(dim) {
-            let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi.clone()));
+            let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi.clone())).unwrap();
             let oracle = scaled_projection_lines(&points, &pi);
             assert_eq!(qp.len(), oracle.len(), "{name} Π={pi:?}: line count");
             let pi_q = QVec::from_ints(&pi);
@@ -291,9 +300,129 @@ fn projection_lines_match_scaled_projection_oracle() {
                     "{name} Π={pi:?} line {pid}"
                 );
                 let image = QVec::from_ints(&points[members[0]]).project(&pi_q);
-                assert_eq!(qp.points()[pid], image, "{name} Π={pi:?} line {pid}");
-                assert_eq!(qp.id_of(&image), Some(pid), "{name} Π={pi:?} line {pid}");
+                assert_eq!(qp.point_q(pid), image, "{name} Π={pi:?} line {pid}");
+                let scaled = qp.scale_q(&image).unwrap();
+                assert_eq!(qp.id_of(&scaled), Some(pid), "{name} Π={pi:?} line {pid}");
             }
         }
     }
+}
+
+/// Every valid `.loom` sample, through the pipeline for its dependences.
+fn sample_nests() -> Vec<(LoopNest, Vec<Point>)> {
+    let dir = format!("{}/../../samples", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".loom"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 8, "samples: {names:?}");
+    names
+        .iter()
+        .map(|n| {
+            let nest = read_sample(n);
+            let deps = run(&nest).deps;
+            (nest, deps)
+        })
+        .collect()
+}
+
+#[test]
+fn integer_projection_matches_rational_oracle() {
+    let mut cases: Vec<(LoopNest, Vec<Point>)> = loom_workloads::all_default()
+        .into_iter()
+        .chain([loom_workloads::triangular::workload(9)])
+        .map(|w| {
+            let deps = w.verified_deps();
+            (w.nest, deps)
+        })
+        .collect();
+    cases.extend(sample_nests());
+    let mut placements = 0;
+    for (nest, deps) in cases {
+        let name = nest.name().to_string();
+        let dim = nest.space().dim();
+        let cs = ComputationalStructure::new(nest.space().clone(), deps.clone()).unwrap();
+        for pi in time_fns(dim) {
+            let time_fn = TimeFn::new(pi.clone());
+            let qp = ProjectedStructure::project(&cs, &time_fn).unwrap();
+            let oracle = RationalProjection::new(&cs, &time_fn);
+            let ctx = format!("{name} Π={pi:?}");
+
+            // Identical projected ids, exact unscaling, and `neighbor`
+            // agreeing with the rational sum looked up in a BTreeMap.
+            assert_eq!(qp.len(), oracle.points.len(), "{ctx}");
+            for (pid, q) in oracle.points.iter().enumerate() {
+                assert_eq!(qp.point_q(pid), *q, "{ctx} pid {pid}");
+                assert_eq!(qp.id_of(qp.point(pid)), Some(pid), "{ctx} pid {pid}");
+                for (k, d) in oracle.deps.iter().enumerate() {
+                    assert_eq!(
+                        qp.neighbor(pid, k),
+                        oracle.id_of(&(q + d)),
+                        "{ctx} pid {pid} dep {k}"
+                    );
+                }
+            }
+            for (k, d) in oracle.deps.iter().enumerate() {
+                assert_eq!(qp.dep_q(k), *d, "{ctx} dep {k}");
+                assert_eq!(
+                    qp.multiplier(k),
+                    d.least_integer_multiplier(),
+                    "{ctx} dep {k}"
+                );
+            }
+
+            // Region growing from the default seed, the paper's seed
+            // (−1,…,−1,2), a projected point in the middle of V^p, and a
+            // seed off the scaled lattice.
+            let s = qp.scale();
+            let mut paper = vec![Ratio::int(-1); dim];
+            paper[dim - 1] = Ratio::int(2);
+            let mut off_lattice = vec![Ratio::int(0); dim];
+            off_lattice[0] = Ratio::new(1, s + 1);
+            let seeds = [
+                None,
+                Some(QVec::new(paper)),
+                Some(oracle.points[oracle.points.len() / 2].clone()),
+                Some(QVec::new(off_lattice)),
+            ];
+            let gv = select_vectors(&qp, None).unwrap();
+            for seed in seeds {
+                let ctx = format!("{ctx} seed {seed:?}");
+                let grouping = grow(&qp, &gv, &GrowConfig { seed: seed.clone() }).unwrap();
+                let (groups, group_of) = support::grow(&oracle, &gv, seed.as_ref());
+                assert_eq!(grouping.group_of, group_of, "{ctx}");
+                assert_eq!(grouping.len(), groups.len(), "{ctx}");
+                for (g, o) in grouping.groups.iter().zip(&groups) {
+                    assert_eq!(g.members, o.members, "{ctx}");
+                    assert_eq!(qp.unscale(&g.base), o.base, "{ctx}");
+                }
+
+                // Algorithm 2: the integer positions place every block
+                // where the rational dots do, on every cube that fits.
+                let config = PartitionConfig {
+                    grouping_choice: None,
+                    seed,
+                };
+                let Ok(p) = partition(nest.space().clone(), deps.clone(), time_fn.clone(), &config)
+                else {
+                    continue; // Π is not legal for these dependences
+                };
+                assert_eq!(p.grouping().group_of, group_of, "{ctx}");
+                let positions = support::positions(&oracle, &groups, &p.vectors().omega());
+                for cube in (0..=3).filter(|&c| 1 << c <= p.num_blocks()) {
+                    let expected = map_positions(&positions, cube).unwrap();
+                    let mapping = map_partitioning(&p, cube).unwrap();
+                    assert_eq!(
+                        mapping.assignment(),
+                        expected.assignment(),
+                        "{ctx} cube {cube}"
+                    );
+                    placements += 1;
+                }
+            }
+        }
+    }
+    assert!(placements > 100, "only {placements} placements compared");
 }

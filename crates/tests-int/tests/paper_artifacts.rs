@@ -64,7 +64,8 @@ fn fig3_seven_projected_points_and_specific_coordinates() {
         h(2, -2),
         h(3, -3),
     ] {
-        assert!(qp.id_of(&v).is_some(), "missing projected point {v}");
+        let scaled = qp.scale_q(&v).expect("on the scaled lattice");
+        assert!(qp.id_of(&scaled).is_some(), "missing projected point {v}");
     }
 }
 
@@ -111,9 +112,9 @@ fn fig5_37_projected_points_and_projected_deps() {
     };
     // d_A^p = (-1/3, 2/3, -1/3), d_B^p = (2/3, -1/3, -1/3),
     // d_C^p = (-1/3, -1/3, 2/3); sorted dep order is [d_C, d_A, d_B].
-    assert_eq!(qp.deps()[0], third(-1, -1, 2));
-    assert_eq!(qp.deps()[1], third(-1, 2, -1));
-    assert_eq!(qp.deps()[2], third(2, -1, -1));
+    assert_eq!(qp.dep_q(0), third(-1, -1, 2));
+    assert_eq!(qp.dep_q(1), third(-1, 2, -1));
+    assert_eq!(qp.dep_q(2), third(2, -1, -1));
 }
 
 #[test]
@@ -131,14 +132,14 @@ fn step3_seed_group_members_match_paper() {
     let qp = p.projected();
     let seed_base = QVec::from_ints(&[-1, -1, 2]);
     let g0 = &p.grouping().groups[0];
-    assert_eq!(g0.base, seed_base);
-    let members: Vec<&QVec> = g0.members.iter().map(|&pid| &qp.points()[pid]).collect();
+    assert_eq!(qp.unscale(&g0.base), seed_base);
+    let members: Vec<QVec> = g0.members.iter().map(|&pid| qp.point_q(pid)).collect();
     let third = |a: i64, b: i64, c: i64| {
         QVec::new(vec![Ratio::new(a, 3), Ratio::new(b, 3), Ratio::new(c, 3)])
     };
-    assert_eq!(members[0], &seed_base);
-    assert_eq!(members[1], &third(-4, -1, 5));
-    assert_eq!(members[2], &third(-5, 1, 4));
+    assert_eq!(members[0], seed_base);
+    assert_eq!(members[1], third(-4, -1, 5));
+    assert_eq!(members[2], third(-5, 1, 4));
 }
 
 #[test]
@@ -171,8 +172,8 @@ fn matvec_projected_deps_and_m_groups() {
     )
     .unwrap();
     let h = |a: i64, b: i64| QVec::new(vec![Ratio::new(a, 2), Ratio::new(b, 2)]);
-    assert_eq!(p.projected().deps()[0], h(-1, 1));
-    assert_eq!(p.projected().deps()[1], h(1, -1));
+    assert_eq!(p.projected().dep_q(0), h(-1, 1));
+    assert_eq!(p.projected().dep_q(1), h(1, -1));
     assert_eq!(p.projected().len(), 2 * 8 - 1, "2M-1 projection lines");
     assert_eq!(p.num_blocks(), 8, "M groups");
 }

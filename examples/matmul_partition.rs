@@ -36,8 +36,12 @@ fn main() {
     let qp = p.projected();
     println!("projection phase: {} projected points on Π·x = 0", qp.len());
     println!("projected dependence vectors:");
-    for (i, d) in qp.deps().iter().enumerate() {
-        println!("  D[{i}] = {:?} -> {d}", p.structure().deps()[i]);
+    for i in 0..qp.num_deps() {
+        println!(
+            "  D[{i}] = {:?} -> {}",
+            p.structure().deps()[i],
+            qp.dep_q(i)
+        );
     }
     let gv = p.vectors();
     println!(
@@ -56,7 +60,7 @@ fn main() {
         t.row([
             format!("G{g}"),
             format!("{}", group.members.len()),
-            format!("{}", group.base),
+            format!("{}", qp.unscale(&group.base)),
             sends.join(" "),
         ]);
     }
