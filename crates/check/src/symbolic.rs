@@ -323,7 +323,15 @@ pub fn check_access_dependences_uniformized(
             (compare_vector_sets(&deps, declared), None)
         }
         Err(loom_loopir::Error::NonUniform { .. }) => {
-            crate::uniformize::nonuniform_analysis(nest, declared, stats)
+            match crate::uniformize::admit_uniformized(nest, opts, stats) {
+                Ok((u, mut diags)) => {
+                    if let Some(declared) = declared {
+                        diags.extend(compare_vector_sets(&u.deps, declared));
+                    }
+                    (diags, Some(u))
+                }
+                Err(report) => (report.diagnostics().to_vec(), None),
+            }
         }
         Err(e) => (
             vec![Diagnostic::warning(
@@ -343,15 +351,7 @@ pub fn check_access_dependences_uniformized(
 /// (where `deps` is the folded set).
 pub(crate) fn compare_vector_sets(deps: &[Dependence], declared: &[Point]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let derived: Vec<Point> = {
-        use std::collections::BTreeSet;
-        let set: BTreeSet<Point> = deps
-            .iter()
-            .map(|d| d.vector.clone())
-            .filter(|v| v.iter().any(|&x| x != 0))
-            .collect();
-        set.into_iter().collect()
-    };
+    let derived = loom_loopir::vector_set(deps);
     for v in &derived {
         if !declared.contains(v) {
             let who = deps

@@ -621,36 +621,6 @@ pub fn check_folded_legality(pi: &TimeFn, u: &Uniformization) -> Vec<Diagnostic>
 // Admission
 // ---------------------------------------------------------------------------
 
-/// Fold and certify in one step: `Ok` is the certified uniformization
-/// plus its certificate/tightness diagnostics, `Err` the rejection
-/// diagnostics (fold failure or refuted/undecided cover).
-fn certified_uniformization(
-    nest: &LoopNest,
-    opts: DepOptions,
-    stats: &mut UniformizeStats,
-) -> Result<(Uniformization, Vec<Diagnostic>), Vec<Diagnostic>> {
-    let u = match uniformize(nest, opts) {
-        Ok(u) => u,
-        Err(FoldError::Extract(e)) => {
-            return Err(vec![Diagnostic::error(
-                RuleId::UniformizeSoundness,
-                Span::Nest,
-                format!("dependence extraction failed ({e}); nothing to fold"),
-            )]);
-        }
-        Err(e @ FoldError::NoCover { .. }) => {
-            return Err(vec![Diagnostic::error(
-                RuleId::UniformizeSoundness,
-                Span::Nest,
-                format!("{e}"),
-            )]);
-        }
-    };
-    let mut diags = certify_cover(nest, &u, stats)?;
-    diags.extend(check_tightness(nest, &u, stats));
-    Ok((u, diags))
-}
-
 /// The pipeline's admission entry for nests the uniform front end
 /// rejects: fold, certify (`LC016`), and report tightness (`LC017`).
 ///
@@ -658,43 +628,31 @@ fn certified_uniformization(
 /// [`Uniformization`] is safe to hand to the partitioner, and the
 /// diagnostics (certificates and warnings, never errors) belong in the
 /// pipeline's report. `Err` is the full rejection report: the failed
-/// obligations plus the classic `LC010` pairwise evidence.
+/// obligations (fold failure or refuted/undecided cover) plus the
+/// classic `LC010` pairwise evidence.
 pub fn admit_uniformized(
     nest: &LoopNest,
     opts: DepOptions,
     stats: &mut UniformizeStats,
 ) -> Result<(Uniformization, Vec<Diagnostic>), Report> {
-    match certified_uniformization(nest, opts, stats) {
-        Ok(ok) => Ok(ok),
-        Err(mut diags) => {
-            diags.extend(crate::symbolic::scan_nonuniform_pairs(nest));
-            Err(Report::from_diagnostics(diags))
-        }
-    }
-}
-
-/// The `LC010` non-uniform arm with uniformization: certify-and-admit
-/// when possible (comparing any declared `D` against the *folded*
-/// vector set), fall back to the budgeted pairwise scan on failure.
-/// Returns the diagnostics plus the certified uniformization when the
-/// nest was admitted.
-pub(crate) fn nonuniform_analysis(
-    nest: &LoopNest,
-    declared: Option<&[Point]>,
-    stats: &mut UniformizeStats,
-) -> (Vec<Diagnostic>, Option<Uniformization>) {
-    match certified_uniformization(nest, DepOptions::default(), stats) {
-        Ok((u, mut diags)) => {
-            if let Some(declared) = declared {
-                diags.extend(crate::symbolic::compare_vector_sets(&u.deps, declared));
-            }
-            (diags, Some(u))
-        }
-        Err(mut diags) => {
-            diags.extend(crate::symbolic::scan_nonuniform_pairs(nest));
-            (diags, None)
-        }
-    }
+    let reject = |mut diags: Vec<Diagnostic>| {
+        diags.extend(crate::symbolic::scan_nonuniform_pairs(nest));
+        Report::from_diagnostics(diags)
+    };
+    let u = uniformize(nest, opts).map_err(|e| {
+        let message = match e {
+            FoldError::Extract(e) => format!("dependence extraction failed ({e}); nothing to fold"),
+            e @ FoldError::NoCover { .. } => format!("{e}"),
+        };
+        reject(vec![Diagnostic::error(
+            RuleId::UniformizeSoundness,
+            Span::Nest,
+            message,
+        )])
+    })?;
+    let mut diags = certify_cover(nest, &u, stats).map_err(reject)?;
+    diags.extend(check_tightness(nest, &u, stats));
+    Ok((u, diags))
 }
 
 #[cfg(test)]
@@ -726,7 +684,7 @@ mod tests {
         let nest = a2i(8);
         let mut stats = UniformizeStats::default();
         let (u, diags) =
-            certified_uniformization(&nest, DepOptions::default(), &mut stats).expect("admitted");
+            admit_uniformized(&nest, DepOptions::default(), &mut stats).expect("admitted");
         assert_eq!(u.vectors, vec![vec![1]]);
         assert!(diags.iter().any(|d| d.rule == RuleId::UniformizeSoundness
             && d.severity == Severity::Info
@@ -751,8 +709,7 @@ mod tests {
             vec![Access::simple("A", 1, &[(0, 0)])],
         );
         let mut stats = UniformizeStats::default();
-        let (u, _) =
-            certified_uniformization(&nest, DepOptions::default(), &mut stats).expect("admitted");
+        let (u, _) = admit_uniformized(&nest, DepOptions::default(), &mut stats).expect("admitted");
         assert_eq!(u.vectors, vec![vec![2]]);
         assert_eq!(stats.refuted, 0);
         assert_eq!(stats.unknown, 0);
@@ -771,7 +728,7 @@ mod tests {
         .unwrap();
         let mut stats = UniformizeStats::default();
         let (u, diags) =
-            certified_uniformization(&nest, DepOptions::default(), &mut stats).expect("admitted");
+            admit_uniformized(&nest, DepOptions::default(), &mut stats).expect("admitted");
         assert_eq!(u.vectors, vec![vec![0, 1]]);
         assert!(diags.iter().any(|d| d.rule == RuleId::UniformizeTightness));
         assert_eq!(stats.refuted + stats.unknown, 0);
@@ -805,7 +762,7 @@ mod tests {
         );
         let mut stats = UniformizeStats::default();
         let (u, diags) =
-            certified_uniformization(&nest, DepOptions::default(), &mut stats).expect("admitted");
+            admit_uniformized(&nest, DepOptions::default(), &mut stats).expect("admitted");
         assert!(u.vectors.is_empty());
         assert!(diags
             .iter()

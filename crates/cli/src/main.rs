@@ -56,10 +56,10 @@ use error::CliError;
 use loom_core::analytic::table1_rows;
 use loom_core::pipeline::MachineOptions;
 use loom_core::report::Table;
-use loom_core::{Pipeline, PipelineConfig};
+use loom_core::{Admission, Pipeline, PipelineConfig, TraceMode};
+use loom_loopir::DepOptions;
 use loom_machine::MachineParams;
 use loom_obs::{FlightRecorder, Json, Recorder};
-use loom_workloads::Workload;
 
 fn usage() -> ! {
     eprintln!(
@@ -169,52 +169,86 @@ fn pick_pi(
     Ok(pi)
 }
 
-fn pick_workload(a: &Args) -> Result<Workload, CliError> {
-    if let Some(path) = a.flags.get("file").cloned() {
-        let nest = parse_file_nest(a, &path)?;
-        let opts = loom_loopir::DepOptions::default();
-        let deps = match loom_loopir::deps::dependence_vectors(&nest, opts) {
-            Ok(deps) => deps,
-            // Non-uniform nests go through certified uniformization
-            // (LC016) unless --no-uniformize restores the seed
-            // rejection; an uncertifiable nest renders its report.
-            Err(loom_loopir::Error::NonUniform { .. }) if !a.switch("no-uniformize") => {
-                let mut stats = loom_check::UniformizeStats::default();
-                match loom_check::admit_uniformized(&nest, opts, &mut stats) {
-                    Ok((u, _diags)) => {
-                        let vecs: Vec<String> = u
-                            .vectors
-                            .iter()
-                            .map(|v| {
-                                let parts: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-                                format!("({})", parts.join(","))
-                            })
-                            .collect();
-                        eprintln!(
-                            "note: {path}: variable-distance dependences folded into the \
-                             certified synthesized set {{{}}} (LC016); run \
-                             `loom check --file {path}` for the certificate and the \
-                             tightness report",
-                            vecs.join(", ")
-                        );
-                        u.vectors
-                    }
-                    Err(report) => {
-                        let mut report = report;
-                        apply_allow(a, &mut report);
-                        render_report(a, &report)?;
-                        return Err(CliError::Diagnostics);
-                    }
-                }
-            }
-            Err(e) => return Err(CliError::usage(format!("{path}: {e}"))),
-        };
-        let pi = pick_pi(a, &nest, &deps, &path)?;
-        return Ok(Workload { nest, deps, pi });
+/// The nest a command works on: its pipeline, its dependence set `D`
+/// and its default Π.
+struct Input {
+    /// The pipeline; a `--file` nest's carries its admission.
+    pipeline: Pipeline,
+    /// A builtin workload's documented `D`, or a `--file` nest's
+    /// admitted one.
+    deps: Vec<Vec<i64>>,
+    /// The workload's canonical Π, or the optimum for a `--file` nest.
+    pi: Vec<i64>,
+}
+
+impl Input {
+    fn nest(&self) -> &loom_loopir::LoopNest {
+        self.pipeline.nest()
+    }
+}
+
+/// Parse `--file` and admit its dependences once: non-uniform nests go
+/// through certified uniformization (LC016) unless --no-uniformize
+/// restores the front-end rejection, and an uncertifiable nest renders
+/// its report. The admission rides in the pipeline, so no later stage
+/// extracts again. Also returns the certificate, empty for a uniform
+/// nest.
+fn file_input(
+    a: &Args,
+    path: &str,
+    recorder: &Recorder,
+) -> Result<(Input, Vec<loom_check::Diagnostic>), CliError> {
+    let nest = parse_file_nest(a, path)?;
+    let uniformize = !a.switch("no-uniformize");
+    let admission = match Admission::build(&nest, DepOptions::default(), uniformize, recorder) {
+        Ok(admission) => admission,
+        Err(loom_core::PipelineError::StaticCheck(mut report)) => {
+            apply_allow(a, &mut report);
+            render_report(a, &report)?;
+            return Err(CliError::Diagnostics);
+        }
+        Err(loom_core::PipelineError::Deps(e)) => {
+            return Err(CliError::usage(format!("{path}: {e}")))
+        }
+        Err(e) => return Err(pipeline_failed(e)),
+    };
+    let pi = pick_pi(a, &nest, &admission.vectors, path)?;
+    let certificate = admission.certificate.clone();
+    let input = Input {
+        deps: admission.vectors.clone(),
+        pi,
+        pipeline: Pipeline::admitted(nest, admission),
+    };
+    Ok((input, certificate))
+}
+
+/// The `--file` nest (admitted under `recorder`) or the builtin
+/// `--workload`.
+fn pick_workload(a: &Args, recorder: &Recorder) -> Result<Input, CliError> {
+    if let Some(path) = a.flags.get("file") {
+        let (input, certificate) = file_input(a, path, recorder)?;
+        if !certificate.is_empty() {
+            let vecs: Vec<String> = input
+                .deps
+                .iter()
+                .map(|v| {
+                    let parts: Vec<String> = v.iter().map(|x| x.to_string()).collect();
+                    format!("({})", parts.join(","))
+                })
+                .collect();
+            eprintln!(
+                "note: {path}: variable-distance dependences folded into the \
+                 certified synthesized set {{{}}} (LC016); run \
+                 `loom check --file {path}` for the certificate and the \
+                 tightness report",
+                vecs.join(", ")
+            );
+        }
+        return Ok(input);
     }
     let size = a.int_flag("size", 8)?;
     let size2 = a.int_flag("size2", size)?;
-    Ok(match a.str_flag("workload", "l1").as_str() {
+    let w = match a.str_flag("workload", "l1").as_str() {
         "l1" => loom_workloads::l1::workload(size),
         "matmul" => loom_workloads::matmul::workload(size),
         "matvec" => loom_workloads::matvec::workload(size),
@@ -230,6 +264,11 @@ fn pick_workload(a: &Args) -> Result<Workload, CliError> {
                 "unknown workload `{other}`; run `loom workloads`"
             )))
         }
+    };
+    Ok(Input {
+        pipeline: Pipeline::new(w.nest),
+        deps: w.deps,
+        pi: w.pi,
     })
 }
 
@@ -316,7 +355,7 @@ fn fault_config(a: &Args) -> Result<Option<loom_machine::FaultConfig>, CliError>
 
 fn run_pipeline(
     a: &Args,
-    w: &Workload,
+    w: &Input,
     with_machine: bool,
 ) -> Result<loom_core::PipelineOutput, CliError> {
     run_pipeline_with(a, w, with_machine, &Recorder::disabled())
@@ -324,7 +363,7 @@ fn run_pipeline(
 
 fn run_pipeline_with(
     a: &Args,
-    w: &Workload,
+    w: &Input,
     with_machine: bool,
     recorder: &Recorder,
 ) -> Result<loom_core::PipelineOutput, CliError> {
@@ -333,10 +372,15 @@ fn run_pipeline_with(
             params: machine_params(a)?,
             batch_messages: a.switch("batch"),
             link_contention: a.switch("contention"),
-            record_trace: a.flags.contains_key("trace-out"),
+            trace: if a.switch("validate") {
+                TraceMode::Validate
+            } else if a.flags.contains_key("trace-out") {
+                TraceMode::Record
+            } else {
+                TraceMode::Off
+            },
             collect_metrics: a.flags.contains_key("metrics-out")
                 || a.flags.contains_key("trace-out"),
-            validate_trace: a.switch("validate"),
             faults: fault_config(a)?,
             ..Default::default()
         })
@@ -354,7 +398,7 @@ fn run_pipeline_with(
         machine,
         ..Default::default()
     };
-    Pipeline::new(w.nest.clone())
+    w.pipeline
         .run_with(&config, recorder)
         .map_err(pipeline_failed)
 }
@@ -463,15 +507,15 @@ fn cmd_workloads() {
 }
 
 fn cmd_partition(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
+    let w = pick_workload(a, &Recorder::disabled())?;
     // Partitioning is machine-independent; default to the 1-processor
     // cube so a small block count never fails the mapping stage.
     let mut a2 = a.clone();
     a2.flags.entry("cube".into()).or_insert_with(|| "0".into());
     let out = run_pipeline(&a2, &w, false)?;
-    println!("{}", w.nest);
+    println!("{}", w.nest());
     println!("D = {:?}", out.deps);
-    println!("{} ({} steps)", out.pi, out.pi.steps(w.nest.space()));
+    println!("{} ({} steps)", out.pi, out.pi.steps(w.nest().space()));
     let p = &out.partitioning;
     println!(
         "r = {}, beta = {}, {} projected points -> {} blocks (largest {})",
@@ -509,7 +553,7 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_map(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
+    let w = pick_workload(a, &Recorder::disabled())?;
     let out = run_pipeline(a, &w, false)?;
     // Hypercube processors print as binary node labels, mesh/ring
     // processors as their index.
@@ -536,14 +580,14 @@ fn cmd_map(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_simulate(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
     let rec = obs_recorder();
+    let w = pick_workload(a, &rec)?;
     let out = run_pipeline_with(a, &w, true, &rec)?;
     let sim = out.sim_report().map_err(pipeline_failed)?;
     let params = machine_params(a)?;
     println!(
         "{} on {:?} ({} procs), t_calc={} t_start={} t_comm={}{}{}",
-        w.nest.name(),
+        w.nest().name(),
         out.target,
         out.placement.num_procs(),
         params.t_calc,
@@ -620,16 +664,16 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_codegen(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
+    let w = pick_workload(a, &Recorder::disabled())?;
     let out = run_pipeline(a, &w, false)?;
     let cg = loom_codegen::generate(
-        &w.nest,
+        w.nest(),
         &out.partitioning,
         out.placement.assignment(),
         out.placement.num_procs(),
     )
     .map_err(|e| CliError::failed(format!("codegen refused: {e}")))?;
-    println!("{}", loom_codegen::render::render(&w.nest, &cg));
+    println!("{}", loom_codegen::render::render(w.nest(), &cg));
     println!(
         "{} computes, {} messages",
         cg.program.num_computes(),
@@ -637,9 +681,9 @@ fn cmd_codegen(a: &Args) -> Result<(), CliError> {
     );
     if a.switch("run") {
         use loom_exec::memory::address_hash_init;
-        let result = loom_codegen::run(&w.nest, &cg, &address_hash_init)
+        let result = loom_codegen::run(w.nest(), &cg, &address_hash_init)
             .map_err(|e| CliError::failed(format!("SPMD run failed: {e}")))?;
-        let serial = loom_exec::sequential(&w.nest, &address_hash_init);
+        let serial = loom_exec::sequential(w.nest(), &address_hash_init);
         match loom_exec::equivalent(&result.gathered, &serial) {
             Ok(()) => println!("verified: bit-identical to sequential execution"),
             Err(d) => return Err(CliError::failed(format!("DIVERGED: {d:?}"))),
@@ -715,50 +759,14 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
             "--symbolic and --interleave/--corrupt are mutually exclusive",
         ));
     }
-    // Load `--file` nests by hand: a non-uniform nest goes through the
-    // uniformization engine and either continues with the certified
-    // folded set (the certificate rides along in the report) or comes
-    // back as a rejection report on stdout, not a front-end abort on
-    // stderr.
-    let mut pre_diags: Vec<loom_check::Diagnostic> = Vec::new();
-    let w = if let Some(path) = a.flags.get("file").cloned() {
-        let nest = parse_file_nest(a, &path)?;
-        match loom_loopir::deps::dependence_vectors(&nest, loom_loopir::DepOptions::default()) {
-            Ok(deps) => {
-                let pi = pick_pi(a, &nest, &deps, &path)?;
-                Workload { nest, deps, pi }
-            }
-            Err(e @ loom_loopir::Error::NonUniform { .. }) if a.switch("no-uniformize") => {
-                return Err(CliError::usage(format!("{path}: {e}")));
-            }
-            Err(loom_loopir::Error::NonUniform { .. }) => {
-                let mut stats = loom_check::UniformizeStats::default();
-                let (diags, uniformized) =
-                    loom_check::check_access_dependences_uniformized(&nest, None, &mut stats);
-                match uniformized {
-                    Some(u) => {
-                        pre_diags = diags;
-                        let deps = u.vectors;
-                        let pi = pick_pi(a, &nest, &deps, &path)?;
-                        Workload { nest, deps, pi }
-                    }
-                    None => {
-                        let mut report = loom_check::Report::from_diagnostics(diags);
-                        apply_allow(a, &mut report);
-                        render_report(a, &report)?;
-                        return if report.has_errors() {
-                            Err(CliError::Diagnostics)
-                        } else {
-                            Ok(())
-                        };
-                    }
-                }
-            }
-            Err(e) => return Err(CliError::usage(format!("{path}: {e}"))),
-        }
-    } else {
-        pick_workload(a)?
+    // An admitted `--file` nest's certificate rides along in the
+    // report; a rejected one comes back as a rejection report on
+    // stdout, not a front-end abort on stderr.
+    let (w, certificate) = match a.flags.get("file") {
+        Some(path) => file_input(a, path, &Recorder::disabled())?,
+        None => (pick_workload(a, &Recorder::disabled())?, Vec::new()),
     };
+    let nest = w.nest();
     let pi = loom_hyperplane::TimeFn::new(pi_flag(a)?.unwrap_or_else(|| w.pi.clone()));
     let cube_dim = a.int_flag("cube", 1)?.max(0) as usize;
     let rec = obs_recorder();
@@ -777,7 +785,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
             seed: None,
         };
         let partitioning =
-            loom_partition::partition(w.nest.space().clone(), w.deps.clone(), pi.clone(), &config)
+            loom_partition::partition(nest.space().clone(), w.deps.clone(), pi.clone(), &config)
                 .map_err(|e| {
                     let too_large = matches!(e, loom_partition::Error::TooLarge { .. });
                     failed_with_size_hint(format!("partitioning failed: {e}"), too_large)
@@ -793,7 +801,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
             let mutation = parse_mutation(mode)?;
             let seed = a.int_flag("corrupt-seed", 1)?.max(0) as u64;
             let mut cg = loom_codegen::generate(
-                &w.nest,
+                nest,
                 &partitioning,
                 mapping.assignment(),
                 1usize << mapping.cube().dim(),
@@ -806,7 +814,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
                     ))
                 })?;
             report = loom_check::check_program(
-                &w.nest,
+                nest,
                 &cg,
                 &loom_check::InterleaveOptions::default(),
                 &rec,
@@ -814,7 +822,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
         } else {
             report = loom_check::check_pipeline_mode(
                 &loom_check::PipelineCheck {
-                    nest: &w.nest,
+                    nest,
                     deps: &w.deps,
                     pi: &pi,
                     partitioning: &partitioning,
@@ -835,9 +843,10 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
     }
     // Prepend the uniformization certificate/tightness diagnostics of
     // an admitted --file nest — except in symbolic mode, where
-    // check_pipeline_mode re-runs the engine and already includes them.
-    if !pre_diags.is_empty() && !symbolic {
-        let mut merged = loom_check::Report::from_diagnostics(pre_diags);
+    // check_pipeline_mode's LC010 arm re-derives and already includes
+    // them.
+    if !certificate.is_empty() && !symbolic {
+        let mut merged = loom_check::Report::from_diagnostics(certificate);
         merged.extend(report.diagnostics().to_vec());
         report = merged;
     }
@@ -859,7 +868,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_viz(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
+    let w = pick_workload(a, &Recorder::disabled())?;
     let out = run_pipeline(a, &w, false)?;
     if a.switch("dot") {
         println!("{}", loom_viz::group_graph_dot(&out.partitioning));
@@ -872,10 +881,10 @@ fn cmd_viz(a: &Args) -> Result<(), CliError> {
     match loom_viz::block_grid(&out.partitioning) {
         Some(grid) => {
             println!("blocks (one letter per block):\n{grid}");
-            let sched = loom_hyperplane::Schedule::build(out.pi.clone(), w.nest.space());
+            let sched = loom_hyperplane::Schedule::build(out.pi.clone(), w.nest().space());
             println!(
                 "hyperplane steps (mod 10):\n{}",
-                loom_viz::wavefront_grid(&sched, w.nest.space()).unwrap()
+                loom_viz::wavefront_grid(&sched, w.nest().space()).unwrap()
             );
         }
         None => {
@@ -924,7 +933,7 @@ fn symbolic_explore(a: &Args) -> Result<loom_core::explore::SymbolicExplore, Cli
 }
 
 fn cmd_explore(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
+    let w = pick_workload(a, &Recorder::disabled())?;
     let dims: Vec<usize> = a
         .int_list_flag("cubes")?
         .map(|v| v.into_iter().map(|x| x.max(0) as usize).collect())
@@ -946,7 +955,7 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
     };
     let rec = obs_recorder();
     let start = std::time::Instant::now();
-    let best = loom_core::explore::explore_with(&w.nest, &dims, &cfg, &rec)
+    let best = loom_core::explore::explore_with(w.nest(), &dims, &cfg, &rec)
         .map_err(|e| CliError::failed(format!("exploration failed: {e}")))?;
     let wall_us = start.elapsed().as_micros() as u64;
     if let Some(path) = &a.obs_flags().flame_out {
@@ -963,7 +972,7 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
         let counters = rec.counters();
         let get = |k: &str| counters.get(k).copied().unwrap_or(0);
         let mut fields = vec![
-            ("workload", loom_obs::Json::from(w.nest.name())),
+            ("workload", loom_obs::Json::from(w.nest().name())),
             (
                 "candidates",
                 loom_obs::Json::from(get("explore.candidates")),
@@ -1024,8 +1033,8 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_profile(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
     let rec = obs_recorder();
+    let w = pick_workload(a, &rec)?;
     let cfg = PipelineConfig {
         time_fn: pi_flag(a)?.or(Some(w.pi.clone())),
         cube_dim: a.int_flag("cube", 1)?.max(0) as usize,
@@ -1035,8 +1044,8 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
     };
     // Stage by hand: the profiler needs the Program and SimConfig,
     // which PipelineOutput does not carry.
-    let pipeline = Pipeline::new(w.nest.clone());
-    let stage = pipeline
+    let stage = w
+        .pipeline
         .stage_partition(&cfg, &rec)
         .map_err(pipeline_failed)?;
     let (placement, target) = stage.map_with(&cfg, &rec).map_err(pipeline_failed)?;
@@ -1069,7 +1078,7 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
     } else {
         println!(
             "{} on {:?} ({} procs)",
-            w.nest.name(),
+            w.nest().name(),
             target,
             placement.num_procs()
         );

@@ -455,3 +455,27 @@ fn projection_overflow_fails_with_exit_one() {
         assert!(err.contains("overflows"), "{cmd}: {err}");
     }
 }
+
+#[test]
+fn infeasible_statement_offsets_are_reported_as_such() {
+    // D = {(1)}, so Π = (1) is legal, but the S0 → S1 intra-iteration
+    // edge and the S1 → S0 carried edge close a cycle Π = (1) cannot
+    // break at statement granularity; Π = (2) can.
+    let path = format!("{}/stmt_cycle.loom", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        &path,
+        "for i = 1 to 7\n  A[i] = B[i-1] + 1;\n  B[i] = A[i] * 2;\n",
+    )
+    .expect("temp file writable");
+    let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+        .args(["partition", "--file", &path])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}: {err}", out.status);
+    assert!(err.contains("statement offsets"), "{err}");
+    assert!(err.contains("cycle through S"), "{err}");
+    assert!(!err.contains("no legal time function"), "{err}");
+    let (_, err, ok) = loom(&["partition", "--file", &path, "--pi", "2"]);
+    assert!(ok, "{err}");
+}

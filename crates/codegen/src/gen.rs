@@ -1,7 +1,7 @@
 //! Generating the per-processor SPMD programs.
 
 use crate::ops::{Op, SpmdProgram, Tag};
-use loom_loopir::deps::{extract_dependences, DepKind, DepOptions};
+use loom_loopir::deps::{DepKind, DepOptions};
 use loom_loopir::{LoopNest, Point};
 use loom_partition::Partitioning;
 use loom_rational::intlinalg::{try_integer_nullspace, IMat};
@@ -133,12 +133,14 @@ pub fn generate(
     let dep_vectors: Vec<Point> = cs.deps().to_vec();
 
     // Payload specs per dependence index: every extracted dependence
-    // whose vector matches contributes its transfer rule. Nests the
-    // uniform extractor rejects were admitted through uniformization,
-    // whose folded records carry the same vectors the partitioner saw.
-    let records = extract_dependences(nest, DepOptions::default())
-        .or_else(|_| loom_loopir::uniformize(nest, DepOptions::default()).map(|u| u.deps))
-        .expect("nest was analyzable when partitioned");
+    // whose vector matches contributes its transfer rule. On a uniform
+    // nest `uniformize` returns exactly the strict extractor's records;
+    // a nest the strict extractor rejects was admitted through
+    // uniformization, whose folded records carry the vectors the
+    // partitioner saw.
+    let records = loom_loopir::uniformize(nest, DepOptions::default())
+        .expect("nest was analyzable when partitioned")
+        .deps;
     let mut payload_specs: Vec<Vec<PayloadSpec>> = vec![Vec::new(); dep_vectors.len()];
     for rec in &records {
         let Some(k) = dep_vectors.iter().position(|v| *v == rec.vector) else {

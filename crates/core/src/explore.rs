@@ -10,9 +10,9 @@
 //! The sweep is organised for throughput without giving up determinism
 //! (see `docs/PERFORMANCE.md`):
 //!
-//! * **stage caching** — dependence extraction runs once per nest, and
-//!   the partitioning prefix of the pipeline
-//!   ([`Pipeline::stage_partition_with_deps`]) runs once per
+//! * **stage caching** — dependence admission runs once per nest
+//!   ([`Pipeline::admitted`]), and the partitioning prefix of the
+//!   pipeline ([`Pipeline::stage_partition`]) runs once per
 //!   (Π, grouping) pair, shared across every machine size;
 //! * **parallelism** — (Π, grouping) pairs fan out over a
 //!   [`loom_obs::Pool`], whose `map_indexed` returns results in input
@@ -29,6 +29,7 @@
 //! and with pruning on or off; `tests-int/tests/explore.rs` asserts it
 //! for every builtin workload.
 
+use crate::admission::Admission;
 use crate::analytic::makespan_lower_bound_with;
 use crate::pipeline::{run_machine, MachineOptions, Pipeline, PipelineConfig, PipelineError};
 use crate::symbolic_cost::{self, Derivation, DeriveOptions, NestFamily, ProbeCache};
@@ -200,11 +201,30 @@ impl PruneGate {
     }
 }
 
+/// Rank candidates: by makespan, then smaller Π (L1 norm, then lex),
+/// grouping index and machine; keep the best `top` (0 = all).
+fn rank(mut results: Vec<Candidate>, top: usize) -> Vec<Candidate> {
+    results.sort_by_key(|c| {
+        (
+            c.makespan,
+            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
+            c.pi.clone(),
+            c.grouping,
+            c.cube_dim,
+        )
+    });
+    if top > 0 {
+        results.truncate(top);
+    }
+    results
+}
+
 /// The seed implementation of [`explore`], kept as the determinism
 /// oracle and the bench baseline: fully serial, no pruning, no stage
-/// caching — the entire pipeline (dependences → Π → partitioning → TIG
-/// → mapping → simulation) re-runs for every (Π, grouping, cube_dim)
-/// triple. `config.threads` and `config.prune` are ignored.
+/// caching — past the nest's one dependence admission, the entire
+/// pipeline (Π → partitioning → TIG → mapping → simulation) re-runs for
+/// every (Π, grouping, cube_dim) triple. `config.threads` and
+/// `config.prune` are ignored.
 /// [`explore`] must return a byte-identical ranked list;
 /// `tests-int/tests/explore.rs` and `repro_explore` both enforce it.
 pub fn explore_reference(
@@ -212,18 +232,15 @@ pub fn explore_reference(
     cube_dims: &[usize],
     config: &ExploreConfig,
 ) -> Result<Vec<Candidate>, PipelineError> {
-    let deps = crate::pipeline::admitted_dependence_vectors(
-        nest,
-        DepOptions::default(),
-        true,
-        &Recorder::disabled(),
-    )?;
-    let pis = legal_pis(nest, &deps, config.pi_bound);
+    let admission = Admission::build(nest, DepOptions::default(), true, &Recorder::disabled())?;
+    let pis = legal_pis(nest, &admission.vectors, config.pi_bound);
+    let groupings = admission.vectors.len();
+    let pipeline = Pipeline::admitted(nest.clone(), admission);
     let mut results: Vec<Candidate> = Vec::new();
     for pi in &pis {
-        for grouping in 0..deps.len() {
+        for grouping in 0..groupings {
             for &cube_dim in cube_dims {
-                let run = Pipeline::new(nest.clone()).run(&PipelineConfig {
+                let run = pipeline.run(&PipelineConfig {
                     time_fn: Some(pi.clone()),
                     cube_dim,
                     partition: loom_partition::PartitionConfig {
@@ -253,19 +270,7 @@ pub fn explore_reference(
             }
         }
     }
-    results.sort_by_key(|c| {
-        (
-            c.makespan,
-            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
-            c.pi.clone(),
-            c.grouping,
-            c.cube_dim,
-        )
-    });
-    if config.top > 0 {
-        results.truncate(config.top);
-    }
-    Ok(results)
+    Ok(rank(results, config.top))
 }
 
 /// Explore configurations for a nest across the given hypercube
@@ -294,15 +299,15 @@ pub fn explore_with(
         return explore_symbolic(nest, cube_dims, config, sym, recorder);
     }
     let _total = recorder.span("explore.total");
-    let deps =
-        crate::pipeline::admitted_dependence_vectors(nest, DepOptions::default(), true, recorder)?;
-    let pis = legal_pis(nest, &deps, config.pi_bound);
-    let pipeline = Pipeline::new(nest.clone());
+    let admission = Admission::build(nest, DepOptions::default(), true, recorder)?;
+    let pis = legal_pis(nest, &admission.vectors, config.pi_bound);
+    let groupings = admission.vectors.len();
+    let pipeline = Pipeline::admitted(nest.clone(), admission);
 
     // One work item per (Π, grouping) pair: the partitioning prefix of
     // the pipeline runs once per pair and is completed per cube_dim.
     let pairs: Vec<(usize, usize)> = (0..pis.len())
-        .flat_map(|p| (0..deps.len()).map(move |g| (p, g)))
+        .flat_map(|p| (0..groupings).map(move |g| (p, g)))
         .collect();
     recorder.add("explore.candidates", (pairs.len() * cube_dims.len()) as u64);
 
@@ -336,7 +341,7 @@ pub fn explore_with(
             };
             let mut found = Vec::new();
             let (mut pruned, mut simulated) = (0u64, 0u64);
-            let stage = match pipeline.stage_partition_with_deps(&base, &rec, deps.clone()) {
+            let stage = match pipeline.stage_partition(&base, &rec) {
                 Ok(stage) => stage,
                 // Grouping choice not maximal: a legitimate skip.
                 Err(PipelineError::Partition(_)) => return Ok((found, pruned, simulated)),
@@ -404,19 +409,7 @@ pub fn explore_with(
     recorder.add("explore.pruned", pruned_total);
     recorder.add("explore.simulated", simulated_total);
 
-    results.sort_by_key(|c| {
-        (
-            c.makespan,
-            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
-            c.pi.clone(),
-            c.grouping,
-            c.cube_dim,
-        )
-    });
-    if config.top > 0 {
-        results.truncate(config.top);
-    }
-    Ok(results)
+    Ok(rank(results, config.top))
 }
 
 /// Per-pair accounting of the symbolic sweep.
@@ -447,10 +440,10 @@ fn explore_symbolic(
     recorder: &Recorder,
 ) -> Result<Vec<Candidate>, PipelineError> {
     let _total = recorder.span("explore.total");
-    let deps =
-        crate::pipeline::admitted_dependence_vectors(nest, DepOptions::default(), true, recorder)?;
-    let pis = legal_pis(nest, &deps, config.pi_bound);
-    let pipeline = Pipeline::new(nest.clone());
+    let admission = Admission::build(nest, DepOptions::default(), true, recorder)?;
+    let pis = legal_pis(nest, &admission.vectors, config.pi_bound);
+    let deps = admission.vectors.clone();
+    let pipeline = Pipeline::admitted(nest.clone(), admission);
 
     let pairs: Vec<(usize, usize)> = (0..pis.len())
         .flat_map(|p| (0..deps.len()).map(move |g| (p, g)))
@@ -523,7 +516,7 @@ fn explore_symbolic(
                         machine: Some(config.machine.clone()),
                         ..Default::default()
                     };
-                    match pipeline.stage_partition_with_deps(&base, &rec, deps.clone()) {
+                    match pipeline.stage_partition(&base, &rec) {
                         Ok(s) => stage = Some((s, base)),
                         // Grouping choice not maximal at the target:
                         // skip the pair, as the simulating sweep does.
@@ -581,19 +574,7 @@ fn explore_symbolic(
     recorder.add("explore.symbolic.probe_points", total.probe_points);
     recorder.add("explore.simulated", total.simulated);
 
-    results.sort_by_key(|c| {
-        (
-            c.makespan,
-            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
-            c.pi.clone(),
-            c.grouping,
-            c.cube_dim,
-        )
-    });
-    if config.top > 0 {
-        results.truncate(config.top);
-    }
-    Ok(results)
+    Ok(rank(results, config.top))
 }
 
 #[cfg(test)]

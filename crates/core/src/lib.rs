@@ -16,7 +16,8 @@
 //!
 //! The stages (each usable on its own through the substrate crates):
 //!
-//! 1. dependence extraction ([`loom_loopir::deps`]),
+//! 1. dependence admission ([`Admission`]: extraction by
+//!    [`loom_loopir::deps`], certified uniformization by `loom-check`),
 //! 2. time transformation by the hyperplane method ([`loom_hyperplane`]),
 //! 3. partitioning into blocks — Algorithm 1 ([`loom_partition`]),
 //! 4. hypercube mapping — Algorithm 2 ([`loom_mapping`]),
@@ -28,6 +29,7 @@
 
 #![deny(missing_docs)]
 
+pub mod admission;
 pub mod analytic;
 pub mod explore;
 pub mod obs_export;
@@ -35,7 +37,8 @@ pub mod pipeline;
 pub mod report;
 pub mod symbolic_cost;
 
+pub use admission::Admission;
 pub use pipeline::{
     MachineOptions, PartitionedStage, Pipeline, PipelineConfig, PipelineError, PipelineOutput,
-    Placement, Target,
+    Placement, Target, TraceMode,
 };

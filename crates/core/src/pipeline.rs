@@ -1,8 +1,9 @@
 //! The end-to-end pipeline: loop nest → dependences → Π → blocks →
 //! hypercube mapping → simulated execution.
 
+use crate::admission::Admission;
 use loom_check::CheckMode;
-use loom_hyperplane::{SearchConfig, TimeFn};
+use loom_hyperplane::{OffsetError, SearchConfig, TimeFn};
 use loom_loopir::{DepOptions, LoopNest, Point};
 use loom_machine::trace::{verify_trace, TraceViolation};
 use loom_machine::{
@@ -14,6 +15,7 @@ use loom_mapping::{map_partitioning, Mapping};
 use loom_obs::{Json, Recorder};
 use loom_partition::comm::block_graph;
 use loom_partition::{partition, CommStats, PartitionConfig, Partitioning, Tig};
+use std::borrow::Cow;
 
 /// The machine the blocks are mapped onto.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,15 +67,11 @@ pub struct MachineOptions {
     pub batch_messages: bool,
     /// Model per-link contention in the interconnect.
     pub link_contention: bool,
-    /// Record the execution trace.
-    pub record_trace: bool,
+    /// What happens to the execution trace.
+    pub trace: TraceMode,
     /// Collect rich simulator telemetry
     /// ([`loom_machine::SimMetrics`]).
     pub collect_metrics: bool,
-    /// Check the execution trace against the program after simulation
-    /// (implies trace recording) and fail the pipeline with
-    /// [`PipelineError::Trace`] on any violation.
-    pub validate_trace: bool,
     /// Run the `loom-check` static verifier with this engine over the
     /// pipeline's artifacts after mapping (before simulation) and fail
     /// with [`PipelineError::StaticCheck`] on any error-severity
@@ -96,19 +94,33 @@ impl Default for MachineOptions {
             words_per_arc: 1,
             batch_messages: false,
             link_contention: false,
-            record_trace: false,
+            trace: TraceMode::Off,
             collect_metrics: false,
-            validate_trace: false,
             check: None,
             faults: None,
         }
     }
 }
 
+/// What the simulation does with its execution trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceMode {
+    /// Record no trace.
+    Off,
+    /// Record the trace into [`SimReport::trace`].
+    Record,
+    /// Record the trace, check it against the program after simulation,
+    /// and fail the pipeline with [`PipelineError::Trace`] on any
+    /// violation.
+    Validate,
+}
+
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Dependence-extraction options.
+    /// Dependence-extraction options. Read only by a pipeline built with
+    /// [`Pipeline::new`]: an [`admitted`](Pipeline::admitted) one has
+    /// applied them already, as it has `uniformize`.
     pub dep_options: DepOptions,
     /// Admit nests the uniform front end rejects through certified
     /// uniformization (`LC016`): variable-distance dependences are
@@ -188,7 +200,7 @@ impl Placement {
 /// Everything the pipeline produced.
 #[derive(Clone, Debug)]
 pub struct PipelineOutput {
-    /// The extracted dependence set `D`.
+    /// The admitted dependence set `D`.
     pub deps: Vec<Point>,
     /// The time transformation Π.
     pub pi: TimeFn,
@@ -228,6 +240,10 @@ pub enum PipelineError {
     Deps(loom_loopir::Error),
     /// No legal/valid time transformation.
     TimeFn(loom_hyperplane::Error),
+    /// Π orders every dependence vector, but no statement offsets make
+    /// it valid at statement granularity: intra-iteration and carried
+    /// dependences close a cycle through the body's statements.
+    Offsets(OffsetError),
     /// Partitioning failed.
     Partition(loom_partition::Error),
     /// Mapping failed.
@@ -235,8 +251,7 @@ pub enum PipelineError {
     /// Simulation failed.
     Sim(loom_machine::sim::SimError),
     /// The simulated execution trace violated a structural property
-    /// (only produced when
-    /// [`MachineOptions::validate_trace`] is set).
+    /// (only produced under [`TraceMode::Validate`]).
     Trace(Vec<TraceViolation>),
     /// The `loom-check` static verifier reported error-severity
     /// diagnostics (only produced when
@@ -253,6 +268,7 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::Deps(e) => write!(f, "dependence extraction: {e}"),
             PipelineError::TimeFn(e) => write!(f, "time transformation: {e}"),
+            PipelineError::Offsets(e) => write!(f, "statement offsets: {e}"),
             PipelineError::Partition(e) => write!(f, "partitioning: {e}"),
             PipelineError::Mapping(e) => write!(f, "mapping: {e}"),
             PipelineError::Sim(e) => write!(f, "simulation: {e}"),
@@ -278,12 +294,27 @@ impl std::error::Error for PipelineError {}
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     nest: LoopNest,
+    admission: Option<Admission>,
 }
 
 impl Pipeline {
-    /// Wrap a loop nest.
+    /// Wrap a loop nest; each run admits its dependences under the
+    /// run's `dep_options` and `uniformize` settings.
     pub fn new(nest: LoopNest) -> Pipeline {
-        Pipeline { nest }
+        Pipeline {
+            nest,
+            admission: None,
+        }
+    }
+
+    /// Wrap a loop nest whose dependences were already admitted
+    /// ([`Admission::build`]): every run reads `admission` instead of
+    /// extracting again.
+    pub fn admitted(nest: LoopNest, admission: Admission) -> Pipeline {
+        Pipeline {
+            nest,
+            admission: Some(admission),
+        }
     }
 
     /// The nest being compiled.
@@ -321,6 +352,19 @@ impl Pipeline {
         Ok(out)
     }
 
+    /// Stage 1: the stored admission, or a fresh one under `config`.
+    fn admission(
+        &self,
+        config: &PipelineConfig,
+        recorder: &Recorder,
+    ) -> Result<Cow<'_, Admission>, PipelineError> {
+        match &self.admission {
+            Some(admission) => Ok(Cow::Borrowed(admission)),
+            None => Admission::build(&self.nest, config.dep_options, config.uniformize, recorder)
+                .map(Cow::Owned),
+        }
+    }
+
     /// Run stages 1–3 (dependences → Π → statement offsets →
     /// partitioning + TIG): the prefix of the pipeline that depends
     /// only on the nest, the time function, and the grouping choice —
@@ -331,18 +375,52 @@ impl Pipeline {
         config: &PipelineConfig,
         recorder: &Recorder,
     ) -> Result<PartitionedStage<'_>, PipelineError> {
-        // 1. Dependence analysis (with certified uniformization of
-        // non-uniform nests when enabled).
-        let deps = {
-            let _s = recorder.span("pipeline.deps");
-            admitted_dependence_vectors(
-                &self.nest,
-                config.dep_options,
-                config.uniformize,
-                recorder,
-            )?
+        // 1. Dependence admission.
+        let admission = self.admission(config, recorder)?;
+        let deps = &admission.vectors;
+        recorder.add("pipeline.deps", deps.len() as u64);
+
+        // 2. Time transformation (hyperplane method).
+        let pi = {
+            let _s = recorder.span("pipeline.time_fn");
+            self.time_fn(deps, config, recorder)?
         };
-        self.stage_partition_with_deps(config, recorder, deps)
+
+        // 2b. Statement-level offsets (fine-grain schedule), from the
+        // admitted records including intra-iteration ones.
+        let stmt_offsets = {
+            let _s = recorder.span("pipeline.stmt_offsets");
+            loom_hyperplane::compute_offsets(self.nest.stmts().len(), &admission.records, &pi)
+                .map_err(PipelineError::Offsets)?
+        };
+
+        // 3. Partitioning (Algorithm 1).
+        let partitioning = {
+            let _s = recorder.span("pipeline.partition");
+            partition(
+                self.nest.space().clone(),
+                deps.clone(),
+                pi.clone(),
+                &config.partition,
+            )
+            .map_err(PipelineError::Partition)?
+        };
+        let (comm, tig) = {
+            let _s = recorder.span("pipeline.block_graph");
+            block_graph(&partitioning)
+        };
+        recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
+        recorder.add("pipeline.interblock_arcs", comm.interblock_arcs as u64);
+
+        Ok(PartitionedStage {
+            nest: &self.nest,
+            deps: deps.clone(),
+            pi,
+            stmt_offsets,
+            partitioning,
+            comm,
+            tig,
+        })
     }
 
     /// The symbolic-cost stage: derive a closed-form `T_exec` for this
@@ -367,17 +445,12 @@ impl Pipeline {
         recorder: &Recorder,
     ) -> Result<crate::symbolic_cost::Derivation, PipelineError> {
         let _s = recorder.span("pipeline.symbolic_cost");
-        let deps = admitted_dependence_vectors(
-            &self.nest,
-            config.dep_options,
-            config.uniformize,
-            recorder,
-        )?;
-        let pi = self.time_fn(&deps, config, recorder)?;
+        let admission = self.admission(config, recorder)?;
+        let pi = self.time_fn(&admission.vectors, config, recorder)?;
         let machine = config.machine.clone().unwrap_or_default();
         let derived = crate::symbolic_cost::derive(
             family,
-            &deps,
+            &admission.vectors,
             pi.coeffs(),
             &config.partition,
             config.cube_dim,
@@ -411,116 +484,6 @@ impl Pipeline {
             }
         }
     }
-
-    /// [`stage_partition`](Pipeline::stage_partition) with the
-    /// dependence set already extracted — exploration hoists extraction
-    /// out of its candidate loop and hands the shared set in here.
-    pub fn stage_partition_with_deps(
-        &self,
-        config: &PipelineConfig,
-        recorder: &Recorder,
-        deps: Vec<Point>,
-    ) -> Result<PartitionedStage<'_>, PipelineError> {
-        recorder.add("pipeline.deps", deps.len() as u64);
-
-        // 2. Time transformation (hyperplane method).
-        let pi = {
-            let _s = recorder.span("pipeline.time_fn");
-            self.time_fn(&deps, config, recorder)?
-        };
-
-        // 2b. Statement-level offsets (fine-grain schedule): derived
-        // from the full per-statement dependence records including
-        // intra-iteration ones.
-        let stmt_offsets = {
-            let _s = recorder.span("pipeline.stmt_offsets");
-            let intra_opts = DepOptions {
-                include_intra: true,
-                ..config.dep_options
-            };
-            let records = match loom_loopir::deps::extract_dependences(&self.nest, intra_opts) {
-                Ok(records) => records,
-                // An admitted uniformized nest trips the uniform
-                // extractor again here; its folded dependence records
-                // (already certified during stage 1) drive the offsets.
-                Err(loom_loopir::Error::NonUniform { .. }) if config.uniformize => {
-                    loom_loopir::uniformize(&self.nest, intra_opts)
-                        .map(|u| u.deps)
-                        .map_err(|e| match e {
-                            loom_loopir::FoldError::Extract(err) => PipelineError::Deps(err),
-                            loom_loopir::FoldError::NoCover { array, .. } => {
-                                PipelineError::Deps(loom_loopir::Error::NonUniform { array })
-                            }
-                        })?
-                }
-                Err(e) => return Err(PipelineError::Deps(e)),
-            };
-            loom_hyperplane::compute_offsets(self.nest.stmts().len(), &records, &pi)
-                .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))?
-        };
-
-        // 3. Partitioning (Algorithm 1).
-        let partitioning = {
-            let _s = recorder.span("pipeline.partition");
-            partition(
-                self.nest.space().clone(),
-                deps.clone(),
-                pi.clone(),
-                &config.partition,
-            )
-            .map_err(PipelineError::Partition)?
-        };
-        let (comm, tig) = {
-            let _s = recorder.span("pipeline.block_graph");
-            block_graph(&partitioning)
-        };
-        recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
-        recorder.add("pipeline.interblock_arcs", comm.interblock_arcs as u64);
-
-        Ok(PartitionedStage {
-            nest: &self.nest,
-            deps,
-            pi,
-            stmt_offsets,
-            partitioning,
-            comm,
-            tig,
-        })
-    }
-}
-
-/// Extract the dependence vector set `D`, admitting nests the uniform
-/// front end rejects through certified uniformization when enabled:
-/// the fold is synthesized (`loom_loopir::uniformize`) and its cover
-/// proven sound by the Presburger core (`LC016`) before the folded
-/// vectors are handed to the rest of the pipeline. An uncertifiable
-/// nest is rejected with the full diagnostic report; `Unknown`
-/// verdicts reject too — the pipeline never admits wrongly. Proof
-/// counts land on `recorder` as `check.uniformize.*` counters.
-pub(crate) fn admitted_dependence_vectors(
-    nest: &LoopNest,
-    opts: DepOptions,
-    uniformize: bool,
-    recorder: &Recorder,
-) -> Result<Vec<Point>, PipelineError> {
-    match loom_loopir::deps::dependence_vectors(nest, opts) {
-        Ok(deps) => Ok(deps),
-        Err(loom_loopir::Error::NonUniform { .. }) if uniformize => {
-            let mut stats = loom_check::UniformizeStats::default();
-            let admitted = loom_check::admit_uniformized(nest, opts, &mut stats);
-            recorder.add("check.uniformize.pairs", stats.pairs_folded);
-            recorder.add("check.uniformize.vectors", stats.vectors_synthesized);
-            recorder.add("check.uniformize.proofs", stats.proofs);
-            recorder.add("check.uniformize.refuted", stats.refuted);
-            recorder.add("check.uniformize.unknown", stats.unknown);
-            recorder.add("check.uniformize.tightness", stats.tightness_warnings);
-            match admitted {
-                Ok((u, _diags)) => Ok(u.vectors),
-                Err(report) => Err(PipelineError::StaticCheck(report)),
-            }
-        }
-        Err(e) => Err(PipelineError::Deps(e)),
-    }
 }
 
 /// The machine-independent prefix of a pipeline run: everything up to
@@ -532,7 +495,7 @@ pub(crate) fn admitted_dependence_vectors(
 #[derive(Clone, Debug)]
 pub struct PartitionedStage<'a> {
     nest: &'a LoopNest,
-    /// The extracted dependence set `D`.
+    /// The admitted dependence set `D`.
     pub deps: Vec<Point>,
     /// The time transformation Π.
     pub pi: TimeFn,
@@ -702,7 +665,7 @@ pub fn run_machine(
         words_per_arc: opts.words_per_arc,
         batch_messages: opts.batch_messages,
         link_contention: opts.link_contention,
-        record_trace: opts.record_trace || opts.validate_trace,
+        record_trace: opts.trace != TraceMode::Off,
         collect_metrics: opts.collect_metrics,
     };
     let report = match &opts.faults {
@@ -737,7 +700,7 @@ pub fn run_machine(
         .degradation
         .as_ref()
         .is_some_and(|d| d.remapped_tasks > 0);
-    if opts.validate_trace && !remapped {
+    if opts.trace == TraceMode::Validate && !remapped {
         let violations = verify_trace(program, report.trace.as_deref().unwrap_or(&[]));
         if !violations.is_empty() {
             return Err(PipelineError::Trace(violations));
@@ -924,6 +887,31 @@ mod tests {
     }
 
     #[test]
+    fn infeasible_stmt_offsets_are_a_typed_error() {
+        // A[i] = B[i-1] + 1; B[i] = A[i] * 2: Π = (1) orders D = {(1)},
+        // but the S0 → S1 intra edge closes a cycle with the carried
+        // S1 → S0 edge that only a steeper Π breaks.
+        let nest = loom_loopir::parse_nest(
+            "cycle",
+            "for i = 1 to 7\n  A[i] = B[i-1] + 1;\n  B[i] = A[i] * 2;\n",
+        )
+        .unwrap();
+        let config = |pi| PipelineConfig {
+            time_fn: Some(vec![pi]),
+            cube_dim: 0,
+            machine: None,
+            ..Default::default()
+        };
+        let err = Pipeline::new(nest.clone()).run(&config(1)).unwrap_err();
+        assert!(
+            matches!(err, PipelineError::Offsets(OffsetError::Infeasible { .. })),
+            "{err}"
+        );
+        let out = Pipeline::new(nest).run(&config(2)).unwrap();
+        assert_eq!(out.stmt_offsets, vec![0, 1]);
+    }
+
+    #[test]
     fn mesh_and_ring_targets_simulate() {
         let w = loom_workloads::matvec::workload(16);
         for target in [
@@ -1043,13 +1031,13 @@ mod tests {
                 time_fn: Some(w.pi.clone()),
                 cube_dim: 2,
                 machine: Some(MachineOptions {
-                    validate_trace: true,
+                    trace: TraceMode::Validate,
                     ..Default::default()
                 }),
                 ..Default::default()
             })
             .unwrap();
-        // validate_trace implies the trace was recorded.
+        // Validation records the trace.
         assert!(out.sim.unwrap().trace.is_some());
     }
 

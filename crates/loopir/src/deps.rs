@@ -361,13 +361,19 @@ pub(crate) fn kind_of(src_is_write: bool, dst_is_write: bool) -> DepKind {
 /// The distinct dependence-vector set `D` of a nest: every extracted
 /// dependence's vector, deduplicated, in lexicographic order.
 pub fn dependence_vectors(nest: &LoopNest, opts: DepOptions) -> Result<Vec<Point>, Error> {
-    let deps = extract_dependences(nest, opts)?;
-    let set: BTreeSet<Point> = deps
-        .into_iter()
-        .map(|d| d.vector)
+    Ok(vector_set(&extract_dependences(nest, opts)?))
+}
+
+/// The vector set `D` of dependence records: their distinct nonzero
+/// vectors (intra-iteration records carry the zero vector, which no
+/// legal Π admits), in lexicographic order.
+pub fn vector_set(records: &[Dependence]) -> Vec<Point> {
+    let set: BTreeSet<&Point> = records
+        .iter()
+        .map(|d| &d.vector)
         .filter(|v| v.iter().any(|&x| x != 0))
         .collect();
-    Ok(set.into_iter().collect())
+    set.into_iter().cloned().collect()
 }
 
 #[cfg(test)]

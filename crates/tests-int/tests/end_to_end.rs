@@ -2,7 +2,7 @@
 //! pipeline, with structural laws and execution traces verified.
 
 use loom_core::pipeline::MachineOptions;
-use loom_core::{Pipeline, PipelineConfig};
+use loom_core::{Pipeline, PipelineConfig, TraceMode};
 use loom_machine::trace::verify_trace;
 use loom_machine::{MachineParams, Program};
 use loom_partition::laws;
@@ -14,7 +14,7 @@ fn run(nest: &loom_loopir::LoopNest, pi: &[i64], cube_dim: usize) -> loom_core::
             cube_dim,
             machine: Some(MachineOptions {
                 params: MachineParams::classic_1991(),
-                record_trace: true,
+                trace: TraceMode::Record,
                 ..Default::default()
             }),
             ..Default::default()

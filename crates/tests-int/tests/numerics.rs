@@ -4,7 +4,7 @@
 //! mapping strategy.
 
 use loom_core::pipeline::MachineOptions;
-use loom_core::{Pipeline, PipelineConfig};
+use loom_core::{Pipeline, PipelineConfig, TraceMode};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, schedule_order, sequential, trace_order};
 use loom_hyperplane::{Schedule, TimeFn};
@@ -20,7 +20,7 @@ fn simulated_trace_order_reproduces_sequential_results_all_workloads() {
                 cube_dim: 1,
                 machine: Some(MachineOptions {
                     params: MachineParams::classic_1991(),
-                    record_trace: true,
+                    trace: TraceMode::Record,
                     ..Default::default()
                 }),
                 ..Default::default()
@@ -69,7 +69,7 @@ fn matvec_values_are_the_real_product() {
             time_fn: Some(w.pi.clone()),
             cube_dim: 2,
             machine: Some(MachineOptions {
-                record_trace: true,
+                trace: TraceMode::Record,
                 ..Default::default()
             }),
             ..Default::default()

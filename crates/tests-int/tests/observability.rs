@@ -4,7 +4,7 @@
 
 use loom_core::obs_export::metrics_json;
 use loom_core::pipeline::MachineOptions;
-use loom_core::{Pipeline, PipelineConfig};
+use loom_core::{Pipeline, PipelineConfig, TraceMode};
 use loom_machine::trace::chrome_trace;
 use loom_machine::{simulate, MachineParams, Program, SimConfig, Topology};
 use loom_obs::{Json, Recorder};
@@ -170,13 +170,13 @@ fn validate_trace_passes_on_clean_pipeline_run() {
             time_fn: Some(w.pi.clone()),
             cube_dim: 2,
             machine: Some(MachineOptions {
-                validate_trace: true,
+                trace: TraceMode::Validate,
                 ..Default::default()
             }),
             ..Default::default()
         })
         .expect("a clean simulation validates with zero violations");
-    // validate_trace implies record_trace, so the trace is available.
+    // Validation records the trace, so it is available.
     assert!(out.sim.unwrap().trace.is_some());
 }
 

@@ -10,13 +10,16 @@ use loom_check::{
 };
 use loom_core::explore::{explore, ExploreConfig};
 use loom_core::pipeline::MachineOptions;
-use loom_core::{Pipeline, PipelineConfig};
+use loom_core::{Admission, Pipeline, PipelineConfig, PipelineError};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, schedule_order, sequential};
 use loom_hyperplane::{find_optimal, Schedule, SearchConfig};
-use loom_loopir::{parse_nest, Access, Aff, DepOptions, IterSpace, LoopNest, Stmt};
+use loom_loopir::deps::dependence_vectors;
+use loom_loopir::{
+    extract_dependences, parse_nest, uniformize, Access, Aff, DepOptions, IterSpace, LoopNest, Stmt,
+};
 use loom_machine::MachineParams;
-use loom_obs::SplitMix64;
+use loom_obs::{Recorder, SplitMix64};
 use loom_partition::ComputationalStructure;
 
 fn repo_path(rel: &str) -> String {
@@ -76,20 +79,28 @@ fn random_diag_nest(rng: &mut SplitMix64) -> LoopNest {
     .unwrap()
 }
 
+/// 24 seeded random nests, every third a coupled 2-D one.
+fn random_nests() -> Vec<LoopNest> {
+    let mut rng = SplitMix64::new(0x5eed_0016);
+    (0..24)
+        .map(|case| {
+            if case % 3 == 2 {
+                random_diag_nest(&mut rng)
+            } else {
+                let extent = rng.range_i64(6, 17);
+                random_scale_nest(&mut rng, extent)
+            }
+        })
+        .collect()
+}
+
 /// Every admitted random nest carries an LC016 certificate that the
 /// Presburger core **re-verifies from scratch**: a second independent
 /// `certify_cover` pass over the returned fold must refute every escape
 /// system again with zero refutations and zero Unknowns.
 #[test]
 fn certificates_reverify_on_random_nests() {
-    let mut rng = SplitMix64::new(0x5eed_0016);
-    for case in 0..24 {
-        let nest = if case % 3 == 2 {
-            random_diag_nest(&mut rng)
-        } else {
-            let extent = rng.range_i64(6, 17);
-            random_scale_nest(&mut rng, extent)
-        };
+    for (case, nest) in random_nests().into_iter().enumerate() {
         let mut stats = UniformizeStats::default();
         let (u, diags) = admit_uniformized(&nest, DepOptions::default(), &mut stats)
             .unwrap_or_else(|r| panic!("case {case} ({}): {}", nest.name(), r.render_human()));
@@ -291,4 +302,95 @@ fn explore_ranks_mappings_for_formerly_rejected_nests() {
             );
         }
     }
+}
+
+/// The one dependence admission against direct loopir/check calls as
+/// the oracle, on every builtin workload, every sample that parses, the
+/// random nests and a two-statement nest with an intra-iteration
+/// record: a uniform nest's records are the strict
+/// extractor's (intra-iteration records included), its vectors
+/// `dependence_vectors`, and it has no certificate; a non-uniform nest's
+/// records are the fold's, its vectors `Uniformization::vectors`, and
+/// its certificate `admit_uniformized`'s diagnostics (or the admission
+/// fails with `admit_uniformized`'s rejection report). With
+/// uniformization off, a non-uniform nest is still the extractor's
+/// `NonUniform` rejection.
+#[test]
+fn admission_matches_direct_extraction_and_certification() {
+    let mut nests: Vec<LoopNest> = loom_workloads::all_default()
+        .into_iter()
+        .map(|w| w.nest)
+        .collect();
+    let dir = repo_path("samples");
+    let mut samples: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "loom"))
+        .map(|path| path.to_string_lossy().into_owned())
+        .collect();
+    samples.sort();
+    for path in &samples {
+        let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        if let Ok(nest) = parse_nest(path, &src) {
+            nests.push(nest);
+        }
+    }
+    nests.extend(random_nests());
+    let two_stmt = "for i = 1 to 7\n  A[i] = B[i-1] + 1;\n  B[i] = A[i] * 2;\n";
+    nests.push(parse_nest("two_stmt", two_stmt).expect("parses"));
+
+    let opts = DepOptions::default();
+    let intra = DepOptions {
+        include_intra: true,
+        ..opts
+    };
+    let rec = Recorder::disabled();
+    let mut folded = 0;
+    for nest in &nests {
+        let name = nest.name();
+        let admission = Admission::build(nest, opts, true, &rec);
+        let array = match extract_dependences(nest, intra) {
+            Ok(records) => {
+                let admission = admission.unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(admission.records, records, "{name}");
+                assert_eq!(
+                    Ok(admission.vectors),
+                    dependence_vectors(nest, opts),
+                    "{name}"
+                );
+                assert!(admission.certificate.is_empty(), "{name}");
+                continue;
+            }
+            Err(loom_loopir::Error::NonUniform { array }) => array,
+            Err(e) => panic!("{name}: {e}"),
+        };
+        match admit_uniformized(nest, opts, &mut UniformizeStats::default()) {
+            Ok((u, certificate)) => {
+                let admission = admission.unwrap_or_else(|e| panic!("{name}: {e}"));
+                let fold = uniformize(nest, intra).expect("folds as admit_uniformized did");
+                assert_eq!(admission.records, fold.deps, "{name}");
+                assert_eq!(admission.vectors, u.vectors, "{name}");
+                assert_eq!(admission.certificate, certificate, "{name}");
+                assert!(!admission.certificate.is_empty(), "{name}");
+                folded += 1;
+            }
+            Err(report) => {
+                assert_eq!(admission, Err(PipelineError::StaticCheck(report)), "{name}")
+            }
+        }
+        let strict = Pipeline::new(nest.clone())
+            .run(&PipelineConfig {
+                uniformize: false,
+                cube_dim: 0,
+                ..Default::default()
+            })
+            .expect_err("non-uniform nest rejected with uniformization off");
+        assert_eq!(
+            strict,
+            PipelineError::Deps(loom_loopir::Error::NonUniform { array }),
+            "{name}"
+        );
+    }
+    // The three variable-distance samples and every random nest fold.
+    assert_eq!(folded, 3 + 24);
 }

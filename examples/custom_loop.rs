@@ -7,7 +7,7 @@
 //! ```
 
 use loom_core::pipeline::MachineOptions;
-use loom_core::{Pipeline, PipelineConfig};
+use loom_core::{Pipeline, PipelineConfig, TraceMode};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, sequential, trace_order};
 use loom_loopir::parse::parse_nest;
@@ -38,7 +38,7 @@ fn main() {
         .run(&PipelineConfig {
             cube_dim: 2,
             machine: Some(MachineOptions {
-                record_trace: true,
+                trace: TraceMode::Record,
                 ..Default::default()
             }),
             ..Default::default() // time_fn: None → search for optimal Π

@@ -7,7 +7,7 @@
 
 use loom_core::pipeline::MachineOptions;
 use loom_core::report::Table;
-use loom_core::{Pipeline, PipelineConfig};
+use loom_core::{Pipeline, PipelineConfig, TraceMode};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, sequential, trace_order};
 
@@ -23,7 +23,7 @@ fn main() {
                 time_fn: Some(w.pi.clone()),
                 cube_dim: 1,
                 machine: Some(MachineOptions {
-                    record_trace: true,
+                    trace: TraceMode::Record,
                     ..Default::default()
                 }),
                 ..Default::default()
