@@ -1,10 +1,11 @@
 //! Bench: the numerical executors — sequential oracle throughput,
-//! trace-order replay, the SPMD interpreter, and codegen.
+//! trace-order replay, the SPMD interpreter and threads, and codegen.
 
 use loom_codegen::generate;
 use loom_exec::memory::address_hash_init;
 use loom_exec::{execute_in_order, schedule_order, sequential};
 use loom_hyperplane::{Schedule, TimeFn};
+use loom_mapping::map_partitioning;
 use loom_obs::bench::Bench;
 use loom_partition::{partition, ComputationalStructure, PartitionConfig};
 
@@ -44,6 +45,30 @@ fn main() {
                 .messages
         });
     }
+
+    // Matmul 48 mapped onto a 1-cube, as perfbench's verify_exec runs
+    // it: 110 592 iterations, each access an element-id lookup.
+    let w = loom_workloads::matmul::workload(48);
+    let p = partition(
+        w.nest.space().clone(),
+        w.verified_deps(),
+        TimeFn::new(w.pi.clone()),
+        &PartitionConfig::default(),
+    )
+    .unwrap();
+    let m = map_partitioning(&p, 1).unwrap();
+    let cg = generate(&w.nest, &p, m.assignment(), 2).unwrap();
+    bench.run("spmd_interpreter/matmul48_2proc", || {
+        loom_codegen::run(&w.nest, &cg, &address_hash_init)
+            .unwrap()
+            .gathered
+            .len()
+    });
+    bench.run("threads/matmul48_2proc", || {
+        loom_codegen::run_threaded_gathered(&w.nest, &cg, &address_hash_init)
+            .unwrap()
+            .len()
+    });
 
     let w = loom_workloads::sor::workload(24, 24);
     let p = partition(

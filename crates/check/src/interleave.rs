@@ -24,10 +24,12 @@
 //! step — factorial in the number of messages. The explorer instead
 //! runs Flanagan–Godefroid dynamic partial-order reduction (DPOR):
 //! a depth-first walk that executes *one* interleaving at a time,
-//! detects races against earlier trace events with vector clocks, and
-//! plants backtrack points only where reordering two **dependent**
-//! transitions could reach a new equivalence class. Sleep sets prune
-//! re-exploration of independent siblings.
+//! detects races with vector clocks against the earlier trace events
+//! that share a mailbox key (found through a per-key index of the
+//! trace, not a scan of it), and plants backtrack points only where
+//! reordering two **dependent** transitions could reach a new
+//! equivalence class. Sleep sets prune re-exploration of independent
+//! siblings.
 //!
 //! The dependency relation is exact for the interpreter's semantics:
 //! two transitions conflict iff their [`Op::mailbox_key`] sets
@@ -55,10 +57,10 @@ use loom_codegen::gen::Codegen;
 use loom_codegen::ops::{Op, SpmdProgram, Tag};
 use loom_codegen::run_schedule;
 use loom_exec::memory::address_hash_init;
-use loom_exec::{equivalent, sequential, Divergence};
+use loom_exec::{equivalent, sequential_on, Divergence};
 use loom_loopir::LoopNest;
 use loom_obs::SplitMix64;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A mailbox slot: `(destination processor, tag)`.
 type Key = (u32, Tag);
@@ -305,10 +307,6 @@ fn componentwise_leq(a: &Clock, b: &Clock) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
-fn keys_intersect(a: &[Key], b: &[Key]) -> bool {
-    a.iter().any(|k| b.contains(k))
-}
-
 fn expand_schedule(trace: &[Executed], last: &Executed) -> Vec<u32> {
     trace
         .iter()
@@ -428,6 +426,9 @@ pub fn explore_dpor(
     }
     let mut frames: Vec<Frame> = vec![root];
     let mut trace: Vec<Executed> = Vec::new();
+    // Trace indices of the events touching each key, ascending: only
+    // events sharing a key with a transition can race with it.
+    let mut by_key: HashMap<Key, Vec<usize>> = HashMap::new();
 
     while let Some(top) = frames.last_mut() {
         let candidate = top
@@ -437,7 +438,14 @@ pub fn explore_dpor(
             .find(|q| !top.done.contains(q));
         let Some(p) = candidate else {
             frames.pop();
-            trace.pop();
+            if let Some(event) = trace.pop() {
+                for key in &event.keys {
+                    let events = by_key.get_mut(key).expect("indexed on push");
+                    if events.last() == Some(&trace.len()) {
+                        events.pop();
+                    }
+                }
+            }
             continue;
         };
         top.done.insert(p);
@@ -490,11 +498,18 @@ pub fn explore_dpor(
         // instead). Under unique tags no key is ever resent, so no
         // backtrack point is ever planted in batched mode and the
         // explorer visits exactly one interleaving per Kahn network.
-        for (i, earlier) in trace.iter().enumerate() {
-            if earlier.proc == p
-                || !keys_intersect(&earlier.keys, &exec.keys)
-                || componentwise_leq(&earlier.clock, &pre_clock)
-            {
+        let mut sharing: Vec<usize> = exec
+            .keys
+            .iter()
+            .filter_map(|k| by_key.get(k))
+            .flatten()
+            .copied()
+            .collect();
+        sharing.sort_unstable();
+        sharing.dedup();
+        for i in sharing {
+            let earlier = &trace[i];
+            if earlier.proc == p || componentwise_leq(&earlier.clock, &pre_clock) {
                 continue;
             }
             let overwrite_alternative = earlier
@@ -537,6 +552,12 @@ pub fn explore_dpor(
             // already-explored independent transitions.
             stats.sleep_skips += 1;
             continue;
+        }
+        for key in &exec.keys {
+            let events = by_key.entry(*key).or_default();
+            if events.last() != Some(&trace.len()) {
+                events.push(trace.len());
+            }
         }
         frames.push(child);
         trace.push(exec);
@@ -834,7 +855,7 @@ pub fn check_interleavings(
             }
         }
         if let Some((_, base)) = &first {
-            let serial = sequential(nest, &address_hash_init);
+            let serial = sequential_on(&cg.elements, &address_hash_init);
             if let Err(Divergence::ValueMismatch {
                 array,
                 element,

@@ -86,7 +86,7 @@ pub use interleave::{
 pub use legality::check_legality;
 pub use lemma1::check_lemma1;
 pub use presburger::{System, Verdict};
-pub use races::check_races;
+pub use races::{check_races, check_races_in};
 pub use symbolic::{
     ap_overlap, block_traffic, check_access_dependences, check_access_dependences_uniformized,
     check_blocking_cycles, check_legality_symbolic, check_lemma1_symbolic,
@@ -206,7 +206,7 @@ pub fn check_pipeline_mode(
                 input.assignment,
                 1usize << input.cube_dim,
             ) {
-                Ok(cg) => report.extend(check_races(input.nest, &cg.program)),
+                Ok(cg) => report.extend(check_races_in(&cg.program, &cg.elements)),
                 Err(e) => report.push(Diagnostic::info(
                     RuleId::DataRace,
                     Span::Nest,

@@ -21,41 +21,121 @@
 
 use crate::diag::{Diagnostic, RuleId, Span};
 use loom_codegen::{Op, SpmdProgram, Tag};
+use loom_exec::ElementTable;
 use loom_loopir::LoopNest;
 use std::collections::BTreeMap;
 
-/// One executed `Compute`, with the vector clock at its occurrence.
-struct ComputeEvent {
-    proc: usize,
-    point: u32,
-    clock: Vec<u64>,
+/// Every executed `Compute`, with the vector clock at its occurrence.
+struct ComputeEvents {
+    n_procs: usize,
+    /// `(processor, point id)` per event, in execution order.
+    events: Vec<(usize, u32)>,
+    /// Event `e`'s clock is `clocks[e * n_procs..(e + 1) * n_procs]`.
+    clocks: Vec<u64>,
 }
 
-/// `true` iff event `a` happens before event `b` (or they are the same
-/// logical time on one processor — program order handles that case
-/// before we ever compare).
-fn happens_before(a: &ComputeEvent, b: &ComputeEvent) -> bool {
-    a.clock[a.proc] <= b.clock[a.proc]
+impl ComputeEvents {
+    fn proc(&self, e: usize) -> usize {
+        self.events[e].0
+    }
+
+    /// `true` iff event `a` happens before event `b`, or both run on
+    /// one processor (program order).
+    fn ordered(&self, a: usize, b: usize) -> bool {
+        let pa = self.proc(a);
+        pa == self.proc(b)
+            || self.clocks[a * self.n_procs + pa] <= self.clocks[b * self.n_procs + pa]
+    }
+
+    /// `true` iff two of `accs` — one element's `(event, is-write)`
+    /// accesses in execution order, which linearizes happens-before —
+    /// race: on different processors, at least one a write, unordered.
+    /// Linear in `accs` (FastTrack): it suffices that every access is
+    /// ordered after the last write, and every write after each
+    /// processor's last read since the previous write.
+    fn racy(&self, accs: &[(usize, bool)], last_read: &mut [Option<usize>]) -> bool {
+        last_read.fill(None);
+        let mut last_write = None;
+        for &(e, write) in accs {
+            if last_write.is_some_and(|w| !self.ordered(w, e)) {
+                return true;
+            }
+            if write {
+                for r in last_read.iter_mut().filter_map(Option::take) {
+                    if !self.ordered(r, e) {
+                        return true;
+                    }
+                }
+                last_write = Some(e);
+            } else {
+                last_read[self.proc(e)] = Some(e);
+            }
+        }
+        false
+    }
+
+    /// The first racing pair of `accs` in list order, as positions.
+    fn first_race(&self, accs: &[(usize, bool)]) -> Option<(usize, usize)> {
+        for (i, &(a, wa)) in accs.iter().enumerate() {
+            for (j, &(b, wb)) in accs.iter().enumerate().skip(i + 1) {
+                if (wa || wb) && !self.ordered(a, b) && !self.ordered(b, a) {
+                    return Some((i, j));
+                }
+            }
+        }
+        None
+    }
+
+    /// Every access of every event grouped by element id: element
+    /// `id`'s accesses are `accesses[first[id]..first[id + 1]]`, as
+    /// `(event, is-write)` in (event, statement, write then reads)
+    /// order.
+    fn access_lists(&self, elements: &ElementTable) -> (Vec<usize>, Vec<(usize, bool)>) {
+        let each_access = |visit: &mut dyn FnMut(u32, usize, bool)| {
+            for (e, &(_, point)) in self.events.iter().enumerate() {
+                let point = point as usize;
+                for stmt in 0..elements.num_stmts() {
+                    visit(elements.write(point, stmt), e, true);
+                    for &id in elements.reads(point, stmt) {
+                        visit(id, e, false);
+                    }
+                }
+            }
+        };
+        let mut first = vec![0usize; elements.len() + 1];
+        each_access(&mut |id, _, _| first[id as usize + 1] += 1);
+        for id in 0..elements.len() {
+            first[id + 1] += first[id];
+        }
+        let mut fill = first.clone();
+        let mut accesses = vec![(0usize, false); first[elements.len()]];
+        each_access(&mut |id, e, write| {
+            accesses[fill[id as usize]] = (e, write);
+            fill[id as usize] += 1;
+        });
+        (first, accesses)
+    }
 }
 
-fn fmt_point(p: &[i64]) -> String {
-    let parts: Vec<String> = p.iter().map(|x| x.to_string()).collect();
-    format!("({})", parts.join(","))
-}
+/// Messages in flight, keyed by (from, to, tag), with the sender's
+/// clock snapshot; a BTreeMap keeps the scan deterministic.
+type Mailbox = BTreeMap<(u32, u32, Tag), Vec<u64>>;
 
-/// Run the happens-before analysis and the per-element race scan.
-pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
+/// Propagate vector clocks to a fixpoint. Each processor advances
+/// through its op list until it blocks on an unsatisfied Recv; Sends
+/// deposit a clock snapshot and Recvs join it. Returns the compute
+/// events, each processor's stopping op index, and the messages never
+/// received.
+fn run_clocks(program: &SpmdProgram) -> (ComputeEvents, Vec<usize>, Mailbox) {
     let n = program.num_procs();
-    let mut out = Vec::new();
-
-    // Phase 1: propagate vector clocks to a fixpoint. Each processor
-    // advances through its op list until it blocks on an unsatisfied
-    // Recv; Sends deposit a clock snapshot keyed by (from, to, tag) and
-    // Recvs join it. BTreeMap keeps the scan deterministic.
     let mut ip = vec![0usize; n];
     let mut clock: Vec<Vec<u64>> = vec![vec![0; n]; n];
-    let mut mailbox: BTreeMap<(u32, u32, Tag), Vec<u64>> = BTreeMap::new();
-    let mut computes: Vec<ComputeEvent> = Vec::new();
+    let mut mailbox = Mailbox::new();
+    let mut computes = ComputeEvents {
+        n_procs: n,
+        events: Vec::new(),
+        clocks: Vec::new(),
+    };
     loop {
         let mut progressed = false;
         for p in 0..n {
@@ -71,11 +151,8 @@ pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
                     },
                     Op::Compute { point } => {
                         clock[p][p] += 1;
-                        computes.push(ComputeEvent {
-                            proc: p,
-                            point,
-                            clock: clock[p].clone(),
-                        });
+                        computes.events.push((p, point));
+                        computes.clocks.extend_from_slice(&clock[p]);
                     }
                     Op::Send { to, tag } => {
                         clock[p][p] += 1;
@@ -90,6 +167,28 @@ pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
             break;
         }
     }
+    (computes, ip, mailbox)
+}
+
+fn fmt_point(p: &[i64]) -> String {
+    let parts: Vec<String> = p.iter().map(|x| x.to_string()).collect();
+    format!("({})", parts.join(","))
+}
+
+/// Run the happens-before analysis and the per-element race scan.
+pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
+    check_races_in(program, &ElementTable::for_points(nest, &program.points))
+}
+
+/// [`check_races`] over an element table already built for the
+/// program's points, such as [`Codegen::elements`].
+///
+/// [`Codegen::elements`]: loom_codegen::gen::Codegen::elements
+pub fn check_races_in(program: &SpmdProgram, elements: &ElementTable) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+
+    // Phase 1: vector clocks.
+    let (computes, ip, mailbox) = run_clocks(program);
 
     // Phase 2: LC007. Anything still blocked is a Recv whose message
     // can never arrive — the program deadlocks there. Messages left in
@@ -131,66 +230,42 @@ pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
         return out;
     }
 
-    // Phase 3: LC005. Index every access by (array, element) and test
-    // cross-processor pairs with at least one write for happens-before.
+    // Phase 3: LC005. Index every access by element id — ids follow
+    // (array, subscripts) order — and test cross-processor pairs with
+    // at least one write for happens-before.
     let points = &program.points;
-    // Access list per element: (compute-event index, is-write).
-    type AccessList = Vec<(usize, bool)>;
-    let mut accesses: BTreeMap<(&str, Vec<i64>), AccessList> = BTreeMap::new();
-    for (ei, ev) in computes.iter().enumerate() {
-        let point = &points[ev.point as usize];
-        for stmt in nest.stmts() {
-            let w = stmt.write();
-            accesses
-                .entry((w.array(), w.element_at(point)))
-                .or_default()
-                .push((ei, true));
-            for r in stmt.reads() {
-                accesses
-                    .entry((r.array(), r.element_at(point)))
-                    .or_default()
-                    .push((ei, false));
-            }
-        }
-    }
-    for ((array, element), accs) in &accesses {
-        if !accs.iter().any(|&(_, write)| write) {
+    let (first, accesses) = computes.access_lists(elements);
+    let mut last_read = vec![None; program.num_procs()];
+    for (id, w) in (0u32..).zip(first.windows(2)) {
+        let accs = &accesses[w[0]..w[1]];
+        // Only a racy element pays for the quadratic scan. One
+        // diagnostic per racing element keeps reports readable; the
+        // first unordered pair is representative.
+        if !computes.racy(accs, &mut last_read) {
             continue;
         }
-        'element: for (i, &(a, wa)) in accs.iter().enumerate() {
-            for &(b, wb) in &accs[i + 1..] {
-                if !(wa || wb) {
-                    continue;
-                }
-                let (ea, eb) = (&computes[a], &computes[b]);
-                if ea.proc == eb.proc {
-                    continue; // ordered by program order
-                }
-                if happens_before(ea, eb) || happens_before(eb, ea) {
-                    continue;
-                }
-                out.push(Diagnostic::error(
-                    RuleId::DataRace,
-                    Span::Element {
-                        array: (*array).to_string(),
-                        element: element.clone(),
-                    },
-                    format!(
-                        "{} at iteration {} on P{} and {} at iteration {} on P{} \
-                         are concurrent: no synchronization orders them",
-                        if wa { "write" } else { "read" },
-                        fmt_point(&points[ea.point as usize]),
-                        ea.proc,
-                        if wb { "write" } else { "read" },
-                        fmt_point(&points[eb.point as usize]),
-                        eb.proc,
-                    ),
-                ));
-                // One diagnostic per racing element keeps reports
-                // readable; the first unordered pair is representative.
-                break 'element;
-            }
-        }
+        let Some((i, j)) = computes.first_race(accs) else {
+            continue;
+        };
+        let ((a, wa), (b, wb)) = (accs[i], accs[j]);
+        let (pa, pb) = (computes.events[a], computes.events[b]);
+        out.push(Diagnostic::error(
+            RuleId::DataRace,
+            Span::Element {
+                array: elements.array(id).to_string(),
+                element: elements.element(id).to_vec(),
+            },
+            format!(
+                "{} at iteration {} on P{} and {} at iteration {} on P{} \
+                 are concurrent: no synchronization orders them",
+                if wa { "write" } else { "read" },
+                fmt_point(&points[pa.1 as usize]),
+                pa.0,
+                if wb { "write" } else { "read" },
+                fmt_point(&points[pb.1 as usize]),
+                pb.0,
+            ),
+        ));
     }
     dedupe(out)
 }
@@ -278,6 +353,47 @@ mod tests {
                 .any(|d| d.rule == RuleId::DataRace && d.severity == crate::Severity::Error),
             "{ds:?}"
         );
+    }
+
+    #[test]
+    fn linear_race_check_agrees_with_the_pair_scan() {
+        let w = loom_workloads::sor::workload(6, 6);
+        let p = partition(
+            w.nest.space().clone(),
+            w.verified_deps(),
+            TimeFn::new(w.pi.clone()),
+            &PartitionConfig::default(),
+        )
+        .unwrap();
+        let m = map_partitioning(&p, 2).unwrap();
+        let program = generate(&w.nest, &p, m.assignment(), 4).unwrap().program;
+        let elements = ElementTable::for_points(&w.nest, &program.points);
+        let mut rng = loom_obs::SplitMix64::new(0x1c005);
+        let (mut racy_lists, mut clean_lists) = (0, 0);
+        for _ in 0..64 {
+            // Recompute random points on random processors, unsynchronized.
+            let mut prog = program.clone();
+            for _ in 0..1 + rng.below(3) {
+                let q = rng.below(prog.num_procs() as u64) as usize;
+                let at = rng.below(prog.per_proc[q].len() as u64 + 1) as usize;
+                let point = rng.below(prog.points.len() as u64) as u32;
+                prog.per_proc[q].insert(at, Op::Compute { point });
+            }
+            let (computes, _, _) = run_clocks(&prog);
+            let (first, accesses) = computes.access_lists(&elements);
+            let mut last_read = vec![None; prog.num_procs()];
+            for w in first.windows(2) {
+                let accs = &accesses[w[0]..w[1]];
+                let racy = computes.racy(accs, &mut last_read);
+                assert_eq!(racy, computes.first_race(accs).is_some(), "{accs:?}");
+                if racy {
+                    racy_lists += 1;
+                } else {
+                    clean_lists += 1;
+                }
+            }
+        }
+        assert!(racy_lists > 0 && clean_lists > 0);
     }
 
     #[test]

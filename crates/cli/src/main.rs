@@ -683,7 +683,7 @@ fn cmd_codegen(a: &Args) -> Result<(), CliError> {
         use loom_exec::memory::address_hash_init;
         let result = loom_codegen::run(w.nest(), &cg, &address_hash_init)
             .map_err(|e| CliError::failed(format!("SPMD run failed: {e}")))?;
-        let serial = loom_exec::sequential(w.nest(), &address_hash_init);
+        let serial = loom_exec::sequential_on(&cg.elements, &address_hash_init);
         match loom_exec::equivalent(&result.gathered, &serial) {
             Ok(()) => println!("verified: bit-identical to sequential execution"),
             Err(d) => return Err(CliError::failed(format!("DIVERGED: {d:?}"))),

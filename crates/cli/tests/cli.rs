@@ -479,3 +479,27 @@ fn infeasible_statement_offsets_are_reported_as_such() {
     let (_, err, ok) = loom(&["partition", "--file", &path, "--pi", "2"]);
     assert!(ok, "{err}");
 }
+
+#[test]
+fn huge_subscript_strides_execute_exactly() {
+    // The elements' bounding box spans about 10^27 cells; executors
+    // index the 168 elements the nest touches, not the box.
+    let dir = std::env::temp_dir().join("loom-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge_strides.loom");
+    std::fs::write(
+        &path,
+        "for i = 1 to 12\n  for j = 1 to 12\n    \
+         A[4000000000000*i, 3000000000000*j] = \
+         A[4000000000000*i - 4000000000000, 3000000000000*j] + \
+         A[4000000000000*i, 3000000000000*j - 3000000000000];\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let (out, err, ok) = loom(&["codegen", "--file", file, "--cube", "1", "--run"]);
+    assert!(ok, "{out}{err}");
+    assert!(out.contains("verified: bit-identical"), "{out}");
+    let (out, err, ok) = loom(&["check", "--file", file, "--cube", "1", "--interleave"]);
+    assert!(ok, "{out}{err}");
+    assert!(out.contains("check: 0 error(s)"), "{out}");
+}

@@ -1,10 +1,12 @@
 //! Generating the per-processor SPMD programs.
 
 use crate::ops::{Op, SpmdProgram, Tag};
+use loom_exec::ElementTable;
 use loom_loopir::deps::{DepKind, DepOptions};
 use loom_loopir::{LoopNest, Point};
 use loom_partition::Partitioning;
 use loom_rational::intlinalg::{try_integer_nullspace, IMat};
+use std::sync::Arc;
 
 /// Why SPMD code cannot be generated for a nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +81,9 @@ pub struct Codegen {
     pub payload_specs: Vec<Vec<PayloadSpec>>,
     /// The dependence vectors, aligned with payload indices.
     pub dep_vectors: Vec<Point>,
+    /// The nest's elements over the program's points: executors read,
+    /// write and ship element ids from it.
+    pub elements: Arc<ElementTable>,
 }
 
 /// Generate SPMD code for a partitioned and mapped nest.
@@ -167,21 +172,28 @@ pub fn generate(
         per_proc_points[proc_of_point(id) as usize].push(id);
     }
     // Ids are lexicographic ranks, so `(step, id)` is `(step, point)`.
+    let step: Vec<_> = cs.points().iter().map(|x| pi.time_of(x)).collect();
     for list in &mut per_proc_points {
-        list.sort_by_key(|&id| (pi.time_of(cs.point(id)), id));
+        list.sort_unstable_by_key(|&id| (step[id], id));
     }
 
+    // Per iteration: receives for remote predecessors, the compute,
+    // then sends to remote successors; each run of messages in
+    // `(processor, tag)` order.
+    let key = |op: &Op| match *op {
+        Op::Recv { from: q, tag } | Op::Send { to: q, tag } => (q, tag),
+        Op::Compute { .. } => unreachable!("only messages are sorted"),
+    };
     let mut per_proc: Vec<Vec<Op>> = vec![Vec::new(); num_procs];
     for (proc, points) in per_proc_points.iter().enumerate() {
         let ops = &mut per_proc[proc];
+        let here = proc as u32;
         for &id in points {
-            let here = proc as u32;
-            // Receives for remote predecessors, deterministic order.
-            let mut recvs: Vec<Op> = Vec::new();
+            let start = ops.len();
             for (pid, k) in cs.predecessors(id) {
                 let from = proc_of_point(pid);
                 if from != here {
-                    recvs.push(Op::Recv {
+                    ops.push(Op::Recv {
                         from,
                         tag: Tag {
                             src_point: pid as u32,
@@ -190,18 +202,13 @@ pub fn generate(
                     });
                 }
             }
-            recvs.sort_by_key(|op| match op {
-                Op::Recv { from, tag } => (*from, *tag),
-                _ => unreachable!(),
-            });
-            ops.extend(recvs);
+            ops[start..].sort_unstable_by_key(key);
             ops.push(Op::Compute { point: id as u32 });
-            // Sends to remote successors, deterministic order.
-            let mut sends: Vec<Op> = Vec::new();
+            let start = ops.len();
             for (succ, k) in cs.successors(id) {
                 let to = proc_of_point(succ);
                 if to != here {
-                    sends.push(Op::Send {
+                    ops.push(Op::Send {
                         to,
                         tag: Tag {
                             src_point: id as u32,
@@ -210,11 +217,7 @@ pub fn generate(
                     });
                 }
             }
-            sends.sort_by_key(|op| match op {
-                Op::Send { to, tag } => (*to, *tag),
-                _ => unreachable!(),
-            });
-            ops.extend(sends);
+            ops[start..].sort_unstable_by_key(key);
         }
     }
 
@@ -225,6 +228,7 @@ pub fn generate(
         },
         payload_specs,
         dep_vectors,
+        elements: Arc::new(ElementTable::for_points(nest, cs.points().iter())),
     })
 }
 

@@ -7,9 +7,10 @@
 
 use crate::gen::{Codegen, PayloadSpec};
 use crate::ops::{Op, Tag};
-use loom_exec::memory::{Element, Memory};
+use loom_exec::{ElementTable, Memory};
 use loom_loopir::LoopNest;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Interpreter failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,108 +72,100 @@ pub struct RunResult {
     pub words: u64,
 }
 
-/// A transferred element: address, value, and — for values the source
-/// itself wrote — the id of the writing iteration. The writer id makes
-/// installation order-independent: a processor keeps, per element, the
-/// version from the *sequentially latest* writer, so when several
-/// accumulation dependences deliver the same element (e.g. conv2d's
-/// `y` along both `(0,0,1,0)` and `(0,0,0,1)`), a staler copy arriving
-/// later can never clobber a newer one. Forwarded *reads* (reuse chains
-/// of in-nest-read-only arrays) carry no writer and are installed only
+/// A transferred element: its id in the program's element table, its
+/// value, and — for values the source itself wrote — the id of the
+/// writing iteration. The writer id makes installation
+/// order-independent: a processor keeps, per element, the version from
+/// the *sequentially latest* writer, so when several accumulation
+/// dependences deliver the same element (e.g. conv2d's `y` along both
+/// `(0,0,1,0)` and `(0,0,0,1)`), a staler copy arriving later can never
+/// clobber a newer one. Forwarded *reads* (reuse chains of
+/// in-nest-read-only arrays) carry no writer and are installed only
 /// into absent slots.
-pub type PayloadItem = (Element, f64, Option<u32>);
+pub type PayloadItem = (u32, f64, Option<u32>);
 
-/// Evaluate the payload of a message for dependence `dep` produced at
-/// iteration `src` (point id `src_id`) on processor memory `mem`.
-pub(crate) fn payload(
-    nest: &LoopNest,
-    specs: &[PayloadSpec],
-    point: &[i64],
-    src_id: u32,
-    mem: &Memory,
-    init: &dyn Fn(&str, &[i64]) -> f64,
-) -> Vec<PayloadItem> {
-    let mut out = Vec::new();
-    for spec in specs {
-        match spec {
-            PayloadSpec::Write { stmt } => {
-                let w = nest.stmts()[*stmt].write();
-                let e = w.element_at(point);
-                let v = mem.read(w.array(), &e, init);
-                out.push(((w.array().to_string(), e), v, Some(src_id)));
+/// One processor's private state: its memory and, per element id, one
+/// more than the point id of the sequentially latest write it holds (0
+/// if none). Zero-filled vectors stay unmapped until touched, so a
+/// processor's footprint follows the elements it uses.
+pub(crate) struct Proc {
+    pub(crate) mem: Memory,
+    versions: Vec<u32>,
+}
+
+impl Proc {
+    pub(crate) fn new(elements: &Arc<ElementTable>) -> Proc {
+        Proc {
+            mem: Memory::new(Arc::clone(elements)),
+            versions: vec![0; elements.len()],
+        }
+    }
+
+    /// Execute iteration `point` and record its writes for versioning.
+    pub(crate) fn compute(&mut self, point: u32, init: &dyn Fn(&str, &[i64]) -> f64) {
+        self.mem.execute(point as usize, init);
+        let table = self.mem.table();
+        for stmt in 0..table.num_stmts() {
+            self.versions[table.write(point as usize, stmt) as usize] = point + 1;
+        }
+    }
+
+    /// The payload of a message for dependence specs `specs`, produced
+    /// at iteration `src`.
+    pub(crate) fn payload(
+        &self,
+        nest: &LoopNest,
+        specs: &[PayloadSpec],
+        src: u32,
+        init: &dyn Fn(&str, &[i64]) -> f64,
+    ) -> Vec<PayloadItem> {
+        let table = self.mem.table();
+        let point = src as usize;
+        let mut out = Vec::new();
+        for spec in specs {
+            match spec {
+                PayloadSpec::Write { stmt } => {
+                    let id = table.write(point, *stmt);
+                    out.push((id, self.mem.read(id, init), Some(src)));
+                }
+                PayloadSpec::Reads { stmt, array } => {
+                    let reads = nest.stmts()[*stmt].reads();
+                    for (r, &id) in reads.iter().zip(table.reads(point, *stmt)) {
+                        if r.array() == array {
+                            out.push((id, self.mem.read(id, init), None));
+                        }
+                    }
+                }
             }
-            PayloadSpec::Reads { stmt, array } => {
-                for r in nest.stmts()[*stmt].reads() {
-                    if r.array() == array {
-                        let e = r.element_at(point);
-                        let v = mem.read(array, &e, init);
-                        out.push(((array.clone(), e), v, None));
+        }
+        out
+    }
+
+    /// Install received items under the version rule (see
+    /// [`PayloadItem`]).
+    pub(crate) fn install(&mut self, items: Vec<PayloadItem>) {
+        for (id, v, writer) in items {
+            match writer {
+                Some(w) => {
+                    let cur = &mut self.versions[id as usize];
+                    if *cur <= w {
+                        self.mem.write(id, v);
+                        *cur = w + 1;
+                    }
+                }
+                None => {
+                    if self.mem.value(id).is_none() {
+                        self.mem.write(id, v);
                     }
                 }
             }
         }
     }
-    out
-}
-
-/// Install received items into a processor's memory under the version
-/// rule (see [`PayloadItem`]).
-pub(crate) fn install(
-    mem: &mut Memory,
-    versions: &mut HashMap<Element, u32>,
-    items: Vec<PayloadItem>,
-) {
-    for ((array, element), v, writer) in items {
-        let key = (array, element);
-        match writer {
-            Some(w) => {
-                if versions.get(&key).is_none_or(|&cur| cur < w) {
-                    mem.write(&key.0, key.1.clone(), v);
-                    versions.insert(key, w);
-                }
-            }
-            None => {
-                if mem.get(&key.0, &key.1).is_none() {
-                    mem.write(&key.0, key.1, v);
-                }
-            }
-        }
-    }
-}
-
-/// Record the writes one computed iteration performs, for versioning.
-pub(crate) fn record_local_writes(
-    nest: &LoopNest,
-    point: &[i64],
-    id: u32,
-    versions: &mut HashMap<Element, u32>,
-) {
-    for stmt in nest.stmts() {
-        let key = (
-            stmt.write().array().to_string(),
-            stmt.write().element_at(point),
-        );
-        versions.insert(key, id);
-    }
-}
-
-/// Execute one iteration's statements against a processor's memory.
-fn compute(nest: &LoopNest, point: &[i64], mem: &mut Memory, init: &dyn Fn(&str, &[i64]) -> f64) {
-    for stmt in nest.stmts() {
-        let reads: Vec<f64> = stmt
-            .reads()
-            .iter()
-            .map(|r| mem.read(r.array(), &r.element_at(point), init))
-            .collect();
-        let value = stmt.semantics().eval(&reads);
-        mem.write(stmt.write().array(), stmt.write().element_at(point), value);
-    }
 }
 
 /// The mutable machine state one run threads through [`exec_op`].
 struct RunState {
-    memories: Vec<Memory>,
-    versions: Vec<HashMap<Element, u32>>,
+    procs: Vec<Proc>,
     pcs: Vec<usize>,
     /// Mailbox keyed by (destination proc, tag).
     mailbox: HashMap<(u32, Tag), Vec<PayloadItem>>,
@@ -181,14 +174,24 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(n_procs: usize) -> RunState {
+    fn new(cg: &Codegen) -> RunState {
+        let n_procs = cg.program.num_procs();
         RunState {
-            memories: vec![Memory::new(); n_procs],
-            versions: vec![HashMap::new(); n_procs],
+            procs: (0..n_procs).map(|_| Proc::new(&cg.elements)).collect(),
             pcs: vec![0; n_procs],
             mailbox: HashMap::new(),
             messages: 0,
             words: 0,
+        }
+    }
+
+    fn finish(self, cg: &Codegen) -> RunResult {
+        let memories: Vec<Memory> = self.procs.into_iter().map(|p| p.mem).collect();
+        RunResult {
+            gathered: gather(cg, &memories),
+            memories,
+            messages: self.messages,
+            words: self.words,
         }
     }
 }
@@ -203,34 +206,30 @@ fn exec_op(
     init: &dyn Fn(&str, &[i64]) -> f64,
 ) -> Result<bool, InterpError> {
     let prog = &cg.program;
+    let n_points = cg.elements.num_points();
     match &prog.per_proc[p][st.pcs[p]] {
         Op::Recv { from: _, tag } => {
             let Some(items) = st.mailbox.remove(&(p as u32, *tag)) else {
                 return Ok(false); // blocked
             };
-            install(&mut st.memories[p], &mut st.versions[p], items);
+            st.procs[p].install(items);
         }
         Op::Compute { point } => {
-            let id = *point as usize;
-            if id >= prog.points.len() {
+            if *point as usize >= n_points {
                 return Err(InterpError::BadPoint { id: *point });
             }
-            let pt = prog.points[id].clone();
-            compute(nest, &pt, &mut st.memories[p], init);
-            record_local_writes(nest, &pt, *point, &mut st.versions[p]);
+            st.procs[p].compute(*point, init);
         }
         Op::Send { to, tag } => {
-            let id = tag.src_point as usize;
-            if id >= prog.points.len() {
+            if tag.src_point as usize >= n_points {
                 return Err(InterpError::BadPoint { id: tag.src_point });
             }
-            let pt = prog.points[id].clone();
             let specs = cg
                 .payload_specs
                 .get(tag.dep as usize)
                 .map(Vec::as_slice)
                 .unwrap_or(&[]);
-            let items = payload(nest, specs, &pt, tag.src_point, &st.memories[p], init);
+            let items = st.procs[p].payload(nest, specs, tag.src_point, init);
             st.messages += 1;
             st.words += items.len() as u64;
             st.mailbox.insert((*to, *tag), items);
@@ -242,31 +241,32 @@ fn exec_op(
 
 /// Gather the global result: every element taken from the processor
 /// that performed the globally last (sequential-order) write to it.
-fn gather(nest: &LoopNest, prog: &crate::ops::SpmdProgram, memories: &[Memory]) -> Memory {
-    let mut proc_of_point = vec![0u32; prog.points.len()];
-    for (p, ops) in prog.per_proc.iter().enumerate() {
+pub(crate) fn gather(cg: &Codegen, memories: &[Memory]) -> Memory {
+    let table = &cg.elements;
+    let mut proc_of_point = vec![0u32; table.num_points()];
+    for (p, ops) in cg.program.per_proc.iter().enumerate() {
         for op in ops {
             if let Op::Compute { point } = op {
-                if (*point as usize) < proc_of_point.len() {
-                    proc_of_point[*point as usize] = p as u32;
+                if let Some(slot) = proc_of_point.get_mut(*point as usize) {
+                    *slot = p as u32;
                 }
             }
         }
     }
-    let mut last_writer: HashMap<Element, u32> = HashMap::new();
-    for (id, pt) in prog.points.iter().enumerate() {
-        for stmt in nest.stmts() {
-            let e = (
-                stmt.write().array().to_string(),
-                stmt.write().element_at(pt),
-            );
-            last_writer.insert(e, proc_of_point[id]);
+    // One more than the owning processor per element, 0 if unwritten.
+    let mut last_writer = vec![0u32; table.len()];
+    for (point, &proc) in proc_of_point.iter().enumerate() {
+        for stmt in 0..table.num_stmts() {
+            last_writer[table.write(point, stmt) as usize] = proc + 1;
         }
     }
-    let mut gathered = Memory::new();
-    for ((array, element), owner) in last_writer {
-        if let Some(v) = memories[owner as usize].get(&array, &element) {
-            gathered.write(&array, element, v);
+    let mut gathered = Memory::new(Arc::clone(table));
+    for (id, &owner) in (0u32..).zip(&last_writer) {
+        if let Some(v) = owner
+            .checked_sub(1)
+            .and_then(|p| memories[p as usize].value(id))
+        {
+            gathered.write(id, v);
         }
     }
     gathered
@@ -280,7 +280,7 @@ pub fn run(
 ) -> Result<RunResult, InterpError> {
     let prog = &cg.program;
     let n_procs = prog.num_procs();
-    let mut st = RunState::new(n_procs);
+    let mut st = RunState::new(cg);
 
     loop {
         let mut progress = false;
@@ -312,13 +312,7 @@ pub fn run(
         }
     }
 
-    let gathered = gather(nest, prog, &st.memories);
-    Ok(RunResult {
-        memories: st.memories,
-        gathered,
-        messages: st.messages,
-        words: st.words,
-    })
+    Ok(st.finish(cg))
 }
 
 /// Run a generated SPMD program under an explicit global op order:
@@ -341,7 +335,7 @@ pub fn run_schedule(
 ) -> Result<RunResult, InterpError> {
     let prog = &cg.program;
     let n_procs = prog.num_procs();
-    let mut st = RunState::new(n_procs);
+    let mut st = RunState::new(cg);
     for (at, &proc) in schedule.iter().enumerate() {
         let p = proc as usize;
         if p >= n_procs || st.pcs[p] >= prog.per_proc[p].len() {
@@ -360,13 +354,7 @@ pub fn run_schedule(
     if let Some(p) = (0..n_procs).find(|&p| st.pcs[p] < prog.per_proc[p].len()) {
         return Err(InterpError::IncompleteSchedule { proc: p as u32 });
     }
-    let gathered = gather(nest, prog, &st.memories);
-    Ok(RunResult {
-        memories: st.memories,
-        gathered,
-        messages: st.messages,
-        words: st.words,
-    })
+    Ok(st.finish(cg))
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@
 //! and to the sequential oracle — asserted by the tests.
 
 use crate::gen::Codegen;
+use crate::interp::{gather, PayloadItem, Proc};
 use crate::ops::{Op, Tag};
-use loom_exec::memory::{Element, Memory};
+use loom_exec::Memory;
 use loom_loopir::LoopNest;
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -57,8 +58,6 @@ impl std::fmt::Display for ThreadError {
 
 impl std::error::Error for ThreadError {}
 
-use crate::interp::{install, payload, record_local_writes, PayloadItem};
-
 type Msg = (Tag, Vec<PayloadItem>);
 
 /// Execute the SPMD program on real threads; returns per-processor
@@ -94,9 +93,9 @@ pub fn run_threaded(
                 .collect();
             let program = &cg.program;
             let specs = &cg.payload_specs;
+            let elements = &cg.elements;
             handles.push(scope.spawn(move || -> Result<Memory, ThreadError> {
-                let mut mem = Memory::new();
-                let mut versions: HashMap<Element, u32> = HashMap::new();
+                let mut me = Proc::new(elements);
                 let mut stash: HashMap<Tag, Vec<PayloadItem>> = HashMap::new();
                 for op in &program.per_proc[p] {
                     match op {
@@ -120,31 +119,12 @@ pub fn run_threaded(
                                     }
                                 }
                             };
-                            install(&mut mem, &mut versions, items);
+                            me.install(items);
                         }
-                        Op::Compute { point } => {
-                            let pt = &program.points[*point as usize];
-                            for stmt in nest.stmts() {
-                                let reads: Vec<f64> = stmt
-                                    .reads()
-                                    .iter()
-                                    .map(|r| mem.read(r.array(), &r.element_at(pt), &init))
-                                    .collect();
-                                let value = stmt.semantics().eval(&reads);
-                                mem.write(stmt.write().array(), stmt.write().element_at(pt), value);
-                            }
-                            record_local_writes(nest, pt, *point, &mut versions);
-                        }
+                        Op::Compute { point } => me.compute(*point, &init),
                         Op::Send { to, tag } => {
-                            let pt = &program.points[tag.src_point as usize];
-                            let items = payload(
-                                nest,
-                                &specs[tag.dep as usize],
-                                pt,
-                                tag.src_point,
-                                &mem,
-                                init,
-                            );
+                            let items =
+                                me.payload(nest, &specs[tag.dep as usize], tag.src_point, &init);
                             // A closed receiver means that processor
                             // failed; surfaced at join time.
                             let tx = senders[*to as usize]
@@ -154,7 +134,7 @@ pub fn run_threaded(
                         }
                     }
                 }
-                Ok(mem)
+                Ok(me.mem)
             }));
         }
         drop(senders);
@@ -179,32 +159,7 @@ pub fn run_threaded_gathered(
     init: &(dyn Fn(&str, &[i64]) -> f64 + Sync),
 ) -> Result<Memory, ThreadError> {
     let memories = run_threaded(nest, cg, init)?;
-    let prog = &cg.program;
-    let mut proc_of_point = vec![0u32; prog.points.len()];
-    for (p, ops) in prog.per_proc.iter().enumerate() {
-        for op in ops {
-            if let Op::Compute { point } = op {
-                proc_of_point[*point as usize] = p as u32;
-            }
-        }
-    }
-    let mut last_writer: HashMap<Element, u32> = HashMap::new();
-    for (id, pt) in prog.points.iter().enumerate() {
-        for stmt in nest.stmts() {
-            let e = (
-                stmt.write().array().to_string(),
-                stmt.write().element_at(pt),
-            );
-            last_writer.insert(e, proc_of_point[id]);
-        }
-    }
-    let mut gathered = Memory::new();
-    for ((array, element), owner) in last_writer {
-        if let Some(v) = memories[owner as usize].get(&array, &element) {
-            gathered.write(&array, element, v);
-        }
-    }
-    Ok(gathered)
+    Ok(gather(cg, &memories))
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //! execution computes **exactly** the values the original sequential
 //! loop computes. This crate provides:
 //!
-//! * [`memory::Memory`] — a sparse array store keyed by
-//!   `(array, element)`,
+//! * [`elements::ElementTable`] — every array element a nest touches,
+//!   interned once per nest and numbered in `(array, subscripts)` order,
+//!   with the element id of every access at every iteration point,
+//! * [`memory::Memory`] — a dense store indexed by element id,
 //! * [`oracle`] — the sequential interpreter (lexicographic iteration
 //!   order, the semantics of the source loop),
 //! * [`ordered`] — execution in an arbitrary total order (a hyperplane
@@ -38,10 +40,12 @@
 
 #![deny(missing_docs)]
 
+pub mod elements;
 pub mod memory;
 pub mod oracle;
 pub mod ordered;
 
+pub use elements::ElementTable;
 pub use memory::Memory;
-pub use oracle::sequential;
+pub use oracle::{sequential, sequential_on};
 pub use ordered::{equivalent, execute_in_order, schedule_order, trace_order, Divergence};

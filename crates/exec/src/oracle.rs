@@ -1,32 +1,23 @@
 //! The sequential oracle: execute a nest in source (lexicographic)
 //! order — by definition, the correct result.
 
+use crate::elements::ElementTable;
 use crate::memory::Memory;
 use loom_loopir::LoopNest;
+use std::sync::Arc;
 
-/// Execute one iteration's statement body against `mem`.
-pub(crate) fn execute_iteration(
-    nest: &LoopNest,
-    point: &[i64],
-    mem: &mut Memory,
-    init: &dyn Fn(&str, &[i64]) -> f64,
-) {
-    for stmt in nest.stmts() {
-        let reads: Vec<f64> = stmt
-            .reads()
-            .iter()
-            .map(|r| mem.read(r.array(), &r.element_at(point), init))
-            .collect();
-        let value = stmt.semantics().eval(&reads);
-        mem.write(stmt.write().array(), stmt.write().element_at(point), value);
-    }
+/// Run the nest sequentially, returning the final store. Builds the
+/// nest's [`ElementTable`], which holds a row of element ids per point.
+pub fn sequential(nest: &LoopNest, init: &dyn Fn(&str, &[i64]) -> f64) -> Memory {
+    sequential_on(&Arc::new(ElementTable::for_nest(nest)), init)
 }
 
-/// Run the nest sequentially, returning the final store.
-pub fn sequential(nest: &LoopNest, init: &dyn Fn(&str, &[i64]) -> f64) -> Memory {
-    let mut mem = Memory::new();
-    for p in nest.space().points() {
-        execute_iteration(nest, &p, &mut mem, init);
+/// [`sequential`] over a table already built for the nest's points in
+/// lexicographic order, such as a generated program's.
+pub fn sequential_on(elements: &Arc<ElementTable>, init: &dyn Fn(&str, &[i64]) -> f64) -> Memory {
+    let mut mem = Memory::new(Arc::clone(elements));
+    for point in 0..elements.num_points() {
+        mem.execute(point, init);
     }
     mem
 }

@@ -1,12 +1,13 @@
 //! Execution in an arbitrary total order, with dependence validation,
 //! plus exact comparison of executions.
 
+use crate::elements::ElementTable;
 use crate::memory::Memory;
-use crate::oracle::execute_iteration;
 use loom_hyperplane::Schedule;
 use loom_loopir::{LoopNest, Point};
 use loom_machine::trace::TaskRecord;
 use loom_partition::ComputationalStructure;
+use std::sync::Arc;
 
 /// A divergence between two executions, or an invalid order.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,7 +49,8 @@ pub fn execute_in_order(
         return Err(Divergence::NotAPermutation);
     }
     let mut done = vec![false; cs.len()];
-    let mut mem = Memory::new();
+    let table = ElementTable::for_points(nest, cs.points().iter());
+    let mut mem = Memory::new(Arc::new(table));
     for &id in order {
         if id >= cs.len() || done[id] {
             return Err(Divergence::NotAPermutation);
@@ -59,7 +61,7 @@ pub fn execute_in_order(
                 predecessor: cs.point(pid).to_vec(),
             });
         }
-        execute_iteration(nest, cs.point(id), &mut mem, init);
+        mem.execute(id, init);
         done[id] = true;
     }
     Ok(mem)
@@ -93,31 +95,40 @@ pub fn trace_order(trace: &[TaskRecord]) -> Vec<usize> {
 /// Compare two stores exactly; `Ok(())` iff identical. Floating-point
 /// equality is intentional: a dependence-respecting reorder must be
 /// *bit-identical*, because each element's write sequence is fixed.
+///
+/// The reported divergence is the first element, in `(array,
+/// subscripts)` order, that `left` holds and `right` lacks or holds
+/// differently; failing that, the first element only `right` holds.
 pub fn equivalent(left: &Memory, right: &Memory) -> Result<(), Divergence> {
-    for ((array, element), &v) in left.iter() {
-        match right.get(array, element) {
-            Some(w) if w == v => {}
-            other => {
-                return Err(Divergence::ValueMismatch {
-                    array: array.clone(),
-                    element: element.clone(),
-                    left: Some(v),
-                    right: other,
-                })
+    // Both stores iterate in (array, subscripts) order whatever their
+    // tables, so one merge walk pairs up their elements.
+    let mismatch = |array: &str, element: &[i64], l: Option<f64>, r: Option<f64>| {
+        Err(Divergence::ValueMismatch {
+            array: array.to_string(),
+            element: element.to_vec(),
+            left: l,
+            right: r,
+        })
+    };
+    let mut rights = right.iter().peekable();
+    let mut right_only = None;
+    for (array, element, v) in left.iter() {
+        let mut w = None;
+        while let Some((a, e, x)) = rights.next_if(|&(a, e, _)| (a, e) <= (array, element)) {
+            if (a, e) == (array, element) {
+                w = Some(x);
+            } else {
+                right_only.get_or_insert((a, e, x));
             }
         }
-    }
-    for ((array, element), &w) in right.iter() {
-        if left.get(array, element).is_none() {
-            return Err(Divergence::ValueMismatch {
-                array: array.clone(),
-                element: element.clone(),
-                left: None,
-                right: Some(w),
-            });
+        if Some(v) != w {
+            return mismatch(array, element, Some(v), w);
         }
     }
-    Ok(())
+    match right_only.or_else(|| rights.next()) {
+        Some((array, element, x)) => mismatch(array, element, None, Some(x)),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -193,15 +204,16 @@ mod tests {
 
     #[test]
     fn equivalent_detects_mismatch() {
-        let mut a = Memory::new();
-        let mut b = Memory::new();
-        a.write("A", vec![0], 1.0);
-        b.write("A", vec![0], 2.0);
+        let table = Arc::new(crate::elements::holding(&[("A", &[0])]));
+        let mut a = Memory::new(Arc::clone(&table));
+        let mut b = Memory::new(Arc::clone(&table));
+        a.write(0, 1.0);
+        b.write(0, 2.0);
         assert!(matches!(
             equivalent(&a, &b),
             Err(Divergence::ValueMismatch { .. })
         ));
-        let empty = Memory::new();
+        let empty = Memory::new(table);
         assert!(matches!(
             equivalent(&a, &empty),
             Err(Divergence::ValueMismatch { right: None, .. })

@@ -10,8 +10,11 @@
 //! for the scan (LC007); a stale-payload swap is a determinacy
 //! violation (LC014) against the sequential oracle.
 
+#[path = "support/dpor.rs"]
+mod dpor_oracle;
+
 use loom_check::{
-    check_interleavings, check_races, enumerate_naive, explore_dpor, mutate_program,
+    check_interleavings, check_races, enumerate_naive, explore_dpor, mutate_program, Exploration,
     InterleaveOptions, InterleaveStats, Mutation, RuleId, Severity,
 };
 use loom_codegen::{generate, run_schedule};
@@ -210,4 +213,62 @@ fn seeded_mutations_cross_validate_the_three_engines() {
     assert!(lc013 >= 3, "too few LC013 verdicts ({lc013})");
     assert!(lc014 >= 2, "too few stale-data catches ({lc014})");
     assert!(granular >= 3, "too few granular explorations ({granular})");
+}
+
+/// `explore_dpor` indexes trace events by mailbox key and only tests the
+/// events sharing a key with each transition for races; the full-scan
+/// oracle tests every earlier event. Backtrack sets are sets, so both
+/// must report identical stats, deadlock witnesses and schedules — on
+/// every builtin, pristine and under every mutation at several seeds.
+#[test]
+fn keyed_race_index_matches_the_full_trace_scan() {
+    fn same(name: &str, prog: &loom_codegen::SpmdProgram) -> bool {
+        let opts = InterleaveOptions {
+            max_interleavings: 512,
+            ..InterleaveOptions::default()
+        };
+        let (mut fast_stats, mut full_stats) =
+            (InterleaveStats::default(), InterleaveStats::default());
+        let fast: Exploration = explore_dpor(prog, &opts, &mut fast_stats);
+        let full = dpor_oracle::explore_dpor_full_scan(prog, &opts, &mut full_stats);
+        assert_eq!(fast_stats, full_stats, "{name}");
+        assert_eq!(fast.completed, full.completed, "{name}");
+        assert_eq!(fast.schedules, full.schedules, "{name}");
+        let witness = |e: &Exploration| {
+            e.deadlock
+                .as_ref()
+                .map(|w| (w.steps.clone(), w.blocked.clone()))
+        };
+        assert_eq!(witness(&fast), witness(&full), "{name}");
+        !prog.unique_tags()
+    }
+    let mut rng = SplitMix64::new(0xd0_5e7);
+    let mut granular = 0;
+    for w in loom_workloads::all_default() {
+        let p = partition(
+            w.nest.space().clone(),
+            w.deps.clone(),
+            TimeFn::new(w.pi.clone()),
+            &PartitionConfig::default(),
+        )
+        .unwrap();
+        let m = map_partitioning(&p, 2).unwrap();
+        let Ok(cg) = generate(&w.nest, &p, m.assignment(), 4) else {
+            continue; // conv2d: not value-routable
+        };
+        same(w.nest.name(), &cg.program);
+        for mutation in Mutation::all() {
+            for _ in 0..3 {
+                let seed = rng.next_u64();
+                if let Some(bad) = mutate_program(&cg.program, mutation, seed) {
+                    let name = format!("{}/{mutation:?}/{seed:#x}", w.nest.name());
+                    granular += usize::from(same(&name, &bad));
+                }
+            }
+        }
+    }
+    assert!(
+        granular > 0,
+        "duplicate keys must exercise the race detection"
+    );
 }
